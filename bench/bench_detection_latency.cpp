@@ -2,6 +2,7 @@
 // FSMs, mean detection bit position (paper: 9 bits), 100 % detection rate.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <iostream>
 
 #include "analysis/latency.hpp"
@@ -18,7 +19,10 @@ using analysis::fmt;
 void print_study() {
   analysis::LatencyStudyConfig cfg;
   cfg.num_fsms = 160'000;  // as in the paper
+  const auto start = std::chrono::steady_clock::now();
   const auto res = analysis::run_latency_study(cfg);
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - start;
 
   analysis::AsciiTable t{{"Metric", "Value", "Paper"}};
   t.add_row({"random FSMs evaluated", std::to_string(res.fsms_built),
@@ -35,6 +39,8 @@ void print_study() {
   t.add_row({"mean FSM size (nodes)", fmt(res.mean_fsm_nodes, 0), "-"});
   t.add_row({"max tree depth observed", std::to_string(res.max_depth_seen),
              "11 (ID width)"});
+  t.add_row({"study wall time (one thread)", fmt(wall.count(), 1) + " s",
+             "-"});
   t.print(std::cout, "Sec. V-B: detection latency over random FSMs");
 
   // Detection latency in time units at the paper's bus speeds.
@@ -85,7 +91,7 @@ void BM_FsmBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(fsm);
   }
 }
-BENCHMARK(BM_FsmBuild)->Arg(8)->Arg(32)->Arg(128);
+BENCHMARK(BM_FsmBuild)->Arg(8)->Arg(32)->Arg(128)->Arg(600);
 
 void BM_FsmDecide(benchmark::State& state) {
   sim::Rng rng{42};

@@ -118,8 +118,8 @@ void BM_BusStepPerNode(benchmark::State& state) {
   can::WiredAndBus bus{sim::BusSpeed{500'000}};
   std::vector<std::unique_ptr<can::BitController>> nodes;
   for (int i = 0; i < state.range(0); ++i) {
-    nodes.push_back(
-        std::make_unique<can::BitController>("n" + std::to_string(i)));
+    nodes.push_back(std::make_unique<can::BitController>(
+        std::string{"n"} += std::to_string(i)));
     nodes.back()->attach_to(bus);
     can::attach_periodic(*nodes.back(),
                          can::CanFrame::make_pattern(

@@ -1,7 +1,8 @@
 #include "analysis/latency.hpp"
 
 #include <algorithm>
-#include <set>
+#include <bitset>
+#include <utility>
 #include <vector>
 
 namespace mcan::analysis {
@@ -26,11 +27,22 @@ LatencyStudyResult run_latency_study(const LatencyStudyConfig& cfg) {
     const auto n = static_cast<std::size_t>(rng.uniform(
         static_cast<std::uint64_t>(cfg.min_ecus),
         static_cast<std::uint64_t>(cfg.max_ecus)));
-    std::set<can::CanId> ids;
-    while (ids.size() < n) {
-      ids.insert(static_cast<can::CanId>(rng.uniform(0, can::kMaxStdId)));
+    // Draw n distinct IDs (a repeat costs a draw and is dropped), then hand
+    // them over in ascending order.
+    std::bitset<can::kMaxStdId + 1> drawn;
+    for (std::size_t distinct = 0; distinct < n;) {
+      const auto id = rng.uniform(0, can::kMaxStdId);
+      if (!drawn.test(id)) {
+        drawn.set(id);
+        ++distinct;
+      }
     }
-    const core::IvnConfig ivn{{ids.begin(), ids.end()}};
+    std::vector<can::CanId> ids;
+    ids.reserve(n);
+    for (can::CanId id = 0; id <= can::kMaxStdId; ++id) {
+      if (drawn.test(id)) ids.push_back(id);
+    }
+    const core::IvnConfig ivn{std::move(ids)};
     // Random perspective ECU (the paper patches an FSM into each ECU).
     const auto own = ivn.ecus()[rng.uniform(0, ivn.ecus().size() - 1)];
     const auto ranges = ivn.detection_ranges(own);

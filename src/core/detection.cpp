@@ -19,8 +19,11 @@ std::string to_string(AttackClass c) {
 
 void IdRangeSet::add(can::CanId lo, can::CanId hi) {
   assert(lo <= hi && can::is_valid_ext_id(hi));
+  const bool after_last = ranges_.empty() || lo > ranges_.back().hi + 1;
   ranges_.push_back({lo, hi});
-  normalize();
+  // A range that starts past the last one (and does not touch it) keeps
+  // the set normalized; detection ranges are built this way, in O(1) each.
+  if (!after_last) normalize();
 }
 
 void IdRangeSet::normalize() {
@@ -39,11 +42,10 @@ void IdRangeSet::normalize() {
 }
 
 bool IdRangeSet::contains(can::CanId id) const noexcept {
-  for (const auto& r : ranges_) {
-    if (id < r.lo) return false;
-    if (id <= r.hi) return true;
-  }
-  return false;
+  const auto it = std::partition_point(
+      ranges_.begin(), ranges_.end(),
+      [id](const IdRange& r) { return r.hi < id; });
+  return it != ranges_.end() && it->lo <= id;
 }
 
 std::size_t IdRangeSet::id_count() const noexcept {

@@ -39,7 +39,8 @@ struct IdRange {
   friend bool operator==(const IdRange&, const IdRange&) = default;
 };
 
-/// A normalized set of disjoint, sorted, inclusive ID ranges.
+/// A normalized set of sorted, inclusive ID ranges that neither overlap nor
+/// touch (adjacent ranges are merged).
 class IdRangeSet {
  public:
   void add(can::CanId lo, can::CanId hi);

@@ -9,16 +9,25 @@ namespace {
 /// Does [lo, hi] intersect / lie inside the range set?
 enum class Overlap : std::uint8_t { None, Partial, Full };
 
-Overlap classify_interval(const IdRangeSet& set, std::uint32_t lo,
+/// The contiguous run of sorted, disjoint `ranges` that meets [lo, hi].
+std::span<const IdRange> meeting(std::span<const IdRange> ranges,
+                                 std::uint32_t lo, std::uint32_t hi) {
+  const auto first = std::partition_point(
+      ranges.begin(), ranges.end(),
+      [lo](const IdRange& r) { return r.hi < lo; });
+  const auto last = std::partition_point(
+      first, ranges.end(), [hi](const IdRange& r) { return r.lo <= hi; });
+  return {first, last};
+}
+
+/// Classify [lo, hi] from the ranges that meet it.  Normalized ranges never
+/// touch, so two or more of them always leave a gap inside the interval.
+Overlap classify_interval(std::span<const IdRange> meets, std::uint32_t lo,
                           std::uint32_t hi) {
-  std::uint64_t covered = 0;
-  for (const auto& r : set.ranges()) {
-    const std::uint32_t rlo = std::max<std::uint32_t>(lo, r.lo);
-    const std::uint32_t rhi = std::min<std::uint32_t>(hi, r.hi);
-    if (rlo <= rhi) covered += rhi - rlo + 1;
+  if (meets.empty()) return Overlap::None;
+  if (meets.size() == 1 && meets.front().lo <= lo && meets.front().hi >= hi) {
+    return Overlap::Full;
   }
-  if (covered == 0) return Overlap::None;
-  if (covered == static_cast<std::uint64_t>(hi) - lo + 1) return Overlap::Full;
   return Overlap::Partial;
 }
 
@@ -29,16 +38,17 @@ DetectionFsm DetectionFsm::build(const IdRangeSet& detection_set,
   assert(id_bits > 0 && id_bits <= can::kExtIdBits);
   DetectionFsm fsm;
   fsm.id_bits_ = id_bits;
-  fsm.root_ = fsm.build_subtree(detection_set, 0, 0);
+  fsm.root_ = fsm.build_subtree(detection_set.ranges(), 0, 0);
   return fsm;
 }
 
-std::int32_t DetectionFsm::build_subtree(const IdRangeSet& set,
+std::int32_t DetectionFsm::build_subtree(std::span<const IdRange> ranges,
                                          std::uint32_t prefix, int depth) {
   const int rest = id_bits_ - depth;
   const std::uint32_t lo = prefix << rest;
   const std::uint32_t hi = lo + ((1u << rest) - 1);
-  switch (classify_interval(set, lo, hi)) {
+  const auto meets = meeting(ranges, lo, hi);
+  switch (classify_interval(meets, lo, hi)) {
     case Overlap::None:
       max_depth_ = std::max(max_depth_, depth);
       return kBenign;
@@ -53,8 +63,8 @@ std::int32_t DetectionFsm::build_subtree(const IdRangeSet& set,
   nodes_.emplace_back();
   // Children must be built after reserving our slot; note the vector may
   // reallocate, so write through the index, not a cached reference.
-  const auto c0 = build_subtree(set, prefix << 1, depth + 1);
-  const auto c1 = build_subtree(set, (prefix << 1) | 1, depth + 1);
+  const auto c0 = build_subtree(meets, prefix << 1, depth + 1);
+  const auto c1 = build_subtree(meets, (prefix << 1) | 1, depth + 1);
   nodes_[static_cast<std::size_t>(index)].child[0] = c0;
   nodes_[static_cast<std::size_t>(index)].child[1] = c1;
   return index;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "can/types.hpp"
@@ -82,8 +83,10 @@ class DetectionFsm {
     std::int32_t child[2]{kBenign, kBenign};
   };
 
-  std::int32_t build_subtree(const IdRangeSet& set, std::uint32_t prefix,
-                             int depth);
+  /// `ranges` must hold every range of the set that meets the subtree's
+  /// parent interval (the whole set at the root).
+  std::int32_t build_subtree(std::span<const IdRange> ranges,
+                             std::uint32_t prefix, int depth);
 
   std::vector<Node> nodes_;
   std::int32_t root_{kBenign};  // the whole space may be terminal

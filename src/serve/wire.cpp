@@ -306,7 +306,9 @@ std::optional<JsonValue> parse_json(std::string_view text) {
 }
 
 std::string extract_object(std::string_view doc, std::string_view key) {
-  const std::string needle = "\"" + std::string{key} + "\":";
+  std::string needle{"\""};
+  needle += key;
+  needle += "\":";
   const auto at = doc.find(needle);
   if (at == std::string_view::npos) return {};
   std::size_t i = at + needle.size();

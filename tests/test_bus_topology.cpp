@@ -32,7 +32,8 @@ TEST(BusTopology, TwentyNodeArbitrationResolvesStrictlyByPriority) {
     }
   }
   for (const auto id : ids) {
-    auto n = std::make_unique<BitController>("n" + std::to_string(id));
+    auto n =
+        std::make_unique<BitController>(std::string{"n"} += std::to_string(id));
     n->attach_to(bus);
     n->enqueue(CanFrame::make(id, {0x01}));
     nodes.push_back(std::move(n));
@@ -61,7 +62,8 @@ TEST(BusTopology, SaturatedBusDropsNoFramesJustDelaysThem) {
   // Ten senders whose combined analytic load is > 100 %: the bus runs at
   // saturation but the protocol stays loss-free for queued frames.
   for (int i = 0; i < 10; ++i) {
-    auto n = std::make_unique<BitController>("n" + std::to_string(i));
+    auto n =
+        std::make_unique<BitController>(std::string{"n"} += std::to_string(i));
     n->attach_to(bus);
     attach_periodic(*n,
                     CanFrame::make_pattern(

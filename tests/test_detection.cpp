@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "sim/rng.hpp"
 
 namespace mcan::core {
@@ -29,6 +32,43 @@ TEST(IdRangeSet, MergesAdjacentAndOverlapping) {
   s.add(0x25, 0x40);  // overlapping
   EXPECT_EQ(s.ranges().size(), 1u);
   EXPECT_EQ(s.ranges()[0], (IdRange{0x10, 0x40}));
+  s.add(0x50, 0x60);
+  s.add(0x00, 0x05);  // out of order, disjoint
+  s.add(0x48, 0x4F);  // out of order, touches the next range from below
+  ASSERT_EQ(s.ranges().size(), 3u);
+  EXPECT_EQ(s.ranges()[0], (IdRange{0x00, 0x05}));
+  EXPECT_EQ(s.ranges()[1], (IdRange{0x10, 0x40}));
+  EXPECT_EQ(s.ranges()[2], (IdRange{0x48, 0x60}));
+}
+
+TEST(IdRangeSet, ContainsAgreesWithLinearScanOnManyRanges) {
+  // contains() is the reference the FSM tests and the latency study check
+  // verdicts against, so hold it to a plain scan of ranges() on a detection
+  // set as fragmented as the study's largest (|E| = 600).
+  sim::Rng rng{600};
+  std::set<can::CanId> ids;
+  while (ids.size() < 600) {
+    ids.insert(static_cast<can::CanId>(rng.uniform(0, can::kMaxStdId)));
+  }
+  const IvnConfig ivn{{ids.begin(), ids.end()}};
+  const auto d = ivn.detection_ranges(ivn.highest());
+  ASSERT_GT(d.ranges().size(), 300u);
+  const auto scan = [&d](can::CanId id) {
+    for (const auto& r : d.ranges()) {
+      if (r.lo <= id && id <= r.hi) return true;
+    }
+    return false;
+  };
+  std::vector<can::CanId> probes{0, can::kMaxStdId};
+  for (const auto& r : d.ranges()) {
+    if (r.lo > 0) probes.push_back(r.lo - 1);
+    probes.push_back(r.lo);
+    probes.push_back(r.hi);
+    probes.push_back(r.hi + 1);
+  }
+  for (const auto id : probes) {
+    EXPECT_EQ(d.contains(id), scan(id)) << "id=" << id;
+  }
 }
 
 TEST(IvnConfig, PaperExampleTwoEcus) {

@@ -50,6 +50,28 @@ TEST(Determinism, LatencyStudyIsReproducible) {
   EXPECT_DOUBLE_EQ(a.mean_fsm_nodes, b.mean_fsm_nodes);
 }
 
+TEST(Determinism, LatencyStudyMatchesPinnedValues) {
+  // Every field of a 1,000-FSM Sec. V-B study on the default seed, pinned
+  // to the last bit (hex floats, exact EXPECT_EQ): a change to the ID
+  // draws, the detection ranges or the FSM shape moves at least one.
+  analysis::LatencyStudyConfig cfg;
+  cfg.num_fsms = 1000;
+  cfg.verify_fsms = 1000;
+  const auto r = analysis::run_latency_study(cfg);
+  EXPECT_EQ(r.fsms_built, 1000u);
+  EXPECT_EQ(r.mean_detection_bit, 0x1.2090f71626cc5p+3);
+  EXPECT_EQ(r.mean_benign_bit, 0x1.0b212e7055b34p+2);
+  EXPECT_EQ(r.per_fsm_mean.count, 1000u);
+  EXPECT_EQ(r.per_fsm_mean.mean, 0x1.2090f71626cc5p+3);
+  EXPECT_EQ(r.per_fsm_mean.stddev, 0x1.76e76760aa42ap-1);
+  EXPECT_EQ(r.per_fsm_mean.min, 0x1.8d9364d9364d9p+2);
+  EXPECT_EQ(r.per_fsm_mean.max, 0x1.6p+3);
+  EXPECT_EQ(r.detection_rate, 0x1p+0);
+  EXPECT_EQ(r.false_positive_rate, 0x0p+0);
+  EXPECT_EQ(r.mean_fsm_nodes, 0x1.d48147ae147aep+8);
+  EXPECT_EQ(r.max_depth_seen, 11);
+}
+
 TEST(Determinism, RestbusReplayIsReproducible) {
   auto run = [] {
     can::WiredAndBus bus{sim::BusSpeed{125'000}};

@@ -20,7 +20,8 @@ restbus::CommMatrix small_matrix() {
   int i = 0;
   for (const auto id : ids) {
     msgs.push_back({id, 50.0 + 25.0 * i, 8,
-                    "M" + std::to_string(i), "E" + std::to_string(i)});
+                    std::string{"M"} += std::to_string(i),
+                    std::string{"E"} += std::to_string(i)});
     ++i;
   }
   return restbus::CommMatrix{"small", std::move(msgs)};

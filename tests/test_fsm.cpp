@@ -11,7 +11,9 @@
 namespace mcan::core {
 namespace {
 
-IvnConfig random_ivn(sim::Rng& rng, int max_ecus = 80) {
+// The default reaches the latency study's largest ID sets (|E| = 600), where
+// detection ranges are most fragmented.
+IvnConfig random_ivn(sim::Rng& rng, int max_ecus = 600) {
   std::set<can::CanId> ids;
   const auto n = rng.uniform(2, static_cast<std::uint64_t>(max_ecus));
   while (ids.size() < n) {

@@ -3,6 +3,9 @@
 // within the theoretical bit budget, at any bus speed, for any DLC.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "analysis/busoff_meter.hpp"
 #include "analysis/theory.hpp"
 #include "attack/attacker.hpp"
@@ -148,11 +151,18 @@ TEST(RtrAttack, RemoteFrameSpoofIsNeutralized) {
 
 // --- sweep 5: scenario x attack class ----------------------------------------
 
+// gtest prints a parameter that has no operator<< as a byte dump, and
+// that dump is part of the test name ctest discovers. Implicit padding
+// would put stack garbage into the name, so the padding is spelled out
+// and zeroed; the static_assert proves no implicit padding is left.
 struct ScenarioCase {
   core::Scenario scenario;
+  std::uint8_t pad0[3]{};
   int attacker_id;
   bool expect_busoff;
+  std::uint8_t pad1[3]{};
 };
+static_assert(std::has_unique_object_representations_v<ScenarioCase>);
 
 class ScenarioSweep : public ::testing::TestWithParam<ScenarioCase> {};
 
@@ -176,10 +186,22 @@ TEST_P(ScenarioSweep, MatchesDeploymentSemantics) {
 INSTANTIATE_TEST_SUITE_P(
     FullVsLight, ScenarioSweep,
     ::testing::Values(
-        ScenarioCase{core::Scenario::Full, 0x064, true},   // DoS caught
-        ScenarioCase{core::Scenario::Full, 0x173, true},   // spoof caught
-        ScenarioCase{core::Scenario::Light, 0x064, false}, // light skips DoS
-        ScenarioCase{core::Scenario::Light, 0x173, true}), // own ID guarded
+        // DoS caught
+        ScenarioCase{.scenario = core::Scenario::Full,
+                     .attacker_id = 0x064,
+                     .expect_busoff = true},
+        // spoof caught
+        ScenarioCase{.scenario = core::Scenario::Full,
+                     .attacker_id = 0x173,
+                     .expect_busoff = true},
+        // light skips DoS
+        ScenarioCase{.scenario = core::Scenario::Light,
+                     .attacker_id = 0x064,
+                     .expect_busoff = false},
+        // own ID guarded
+        ScenarioCase{.scenario = core::Scenario::Light,
+                     .attacker_id = 0x173,
+                     .expect_busoff = true}),
     [](const ::testing::TestParamInfo<ScenarioCase>& p) {
       return std::string(p.param.scenario == core::Scenario::Full ? "Full"
                                                                   : "Light") +
