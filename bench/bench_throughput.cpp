@@ -34,19 +34,22 @@
 //                    "min_naive_sim_ms": <f>, "speedup": <f>}],
 //     "fast_path_speedup": <f>,   // idle-heavy rest-bus row, quiescence/naive
 //     "batched_speedup": <f>,     // busy-bus row, batched engine over naive
+//     "armed_batched_speedup": <f>,  // idle-heavy rest-bus row (armed
+//                                    // defender), batched over quiescence
 //     "overhead": {"scenario": <str>, "trace_off_ms": <f>,
 //                  "trace_on_ms": <f>, "trace_overhead_pct": <f>,
 //                  "metrics_phase_pct": <f>}
 //   }
 // "fast_path_speedup" gates the idle-heavy regime (quiescence skipping);
-// "batched_speedup" gates the busy-bus regime (word-level batching): the
-// run exits nonzero when it drops below the floor pinned in
-// bench/throughput_floor.json.  Like the golden traces, the pin updates
+// "batched_speedup" gates the busy-bus regime (word-level batching) and
+// "armed_batched_speedup" the word engine's share on a bus with an armed
+// defender: the run exits nonzero when either drops below its floor pinned
+// in bench/throughput_floor.json.  Like the golden traces, the pins update
 // via an env var —
 //
 //   MICHICAN_UPDATE_FLOOR=1 ./bench_throughput
 //
-// rewrites the floor to 80% of the measured speedup (the margin absorbs
+// rewrites each floor to 80% of the measured speedup (the margin absorbs
 // shared-runner timing noise) instead of gating.
 // Timings are wall clocks — the one intentionally non-deterministic output
 // in the BENCH_* family.  The metrics-harvest share should stay well below
@@ -80,7 +83,10 @@ using obs::fmt_double;
 /// targets.  kBusyBus is the batched-engine reference row: an ~80% loaded
 /// rest-bus replay with the defense monitor off, so nearly every bit sits
 /// inside a long transparent horizon the word engine can resolve 64 at a
-/// time.  kOverheadScenario hosts the observability-cost measurement.
+/// time.  kIdleHeavy doubles as the armed-defender reference row: its
+/// benign frames pass the armed monitor's verdict, so the word engine must
+/// beat quiescence skipping alone there.  kOverheadScenario hosts the
+/// observability-cost measurement.
 /// atk-flood-paced tracks the toolkit attack profiles: a rate-paced flood
 /// against the live defense with the rest-bus replay underneath.
 constexpr const char* kScenarioNames[] = {
@@ -150,6 +156,21 @@ struct ScenarioRun {
                ? min_naive_sim_ms / min_quiescence_sim_ms
                : 0.0;
   }
+  /// Batched-engine speedup over the quiescence kernel (isolates the word
+  /// engine's gain on top of skipping).
+  [[nodiscard]] double batch_over_quiescence() const {
+    return min_sim_ms > 0 && min_quiescence_sim_ms < 1e300
+               ? min_quiescence_sim_ms / min_sim_ms
+               : 0.0;
+  }
+};
+
+/// One pinned speedup gate: its key in throughput_floor.json, what it
+/// measures, and the measured value.
+struct FloorGate {
+  const char* key;
+  std::string what;
+  double measured;
 };
 
 #ifndef MICHICAN_BENCH_DIR
@@ -160,29 +181,36 @@ std::string floor_path() {
   return std::string{MICHICAN_BENCH_DIR} + "/throughput_floor.json";
 }
 
-/// Read "batched_speedup_floor" out of the pinned floor file.  The file is
-/// a one-object JSON document we wrote ourselves, so a key scan is enough —
-/// no parser dependency.  Returns a negative value when the file or key is
-/// missing (the caller fails loudly: a silently absent floor is no gate).
-double read_pinned_floor() {
+/// Read floor `key` out of the pinned floor file.  The file is a one-object
+/// JSON document we wrote ourselves, so a key scan is enough — no parser
+/// dependency.  Returns a negative value when the file or key is missing
+/// (the caller fails loudly: a silently absent floor is no gate).
+double read_pinned_floor(const std::string& key) {
   std::ifstream in{floor_path()};
   if (!in) return -1.0;
   std::ostringstream ss;
   ss << in.rdbuf();
   const std::string text = ss.str();
-  const std::string key = "\"batched_speedup_floor\":";
-  const auto at = text.find(key);
+  const std::string needle = "\"" + key + "\":";
+  const auto at = text.find(needle);
   if (at == std::string::npos) return -1.0;
-  return std::strtod(text.c_str() + at + key.size(), nullptr);
+  return std::strtod(text.c_str() + at + needle.size(), nullptr);
 }
 
-bool write_pinned_floor(double floor) {
+bool write_pinned_floors(const std::vector<FloorGate>& gates) {
   std::string os;
   os += "{\"schema\":\"michican.throughput_floor.v1\",";
-  os += "\"batched_speedup_floor\":" + fmt_double(floor) + ",";
-  os += "\"note\":\"Minimum busy-bus batched-engine speedup over the naive "
-        "per-bit kernel; bench_throughput fails below it.  Regenerate with "
-        "MICHICAN_UPDATE_FLOOR=1 (pins 80% of the measured speedup).\"}\n";
+  for (const auto& g : gates) {
+    os += "\"";
+    os += g.key;
+    os += "\":" + fmt_double(0.8 * g.measured) + ",";
+  }
+  os += "\"note\":\"Minimum speedups bench_throughput fails below: "
+        "batched_speedup_floor is the busy-bus batched engine over the naive "
+        "per-bit kernel, armed_batched_speedup_floor the restbus-idle "
+        "batched engine over quiescence skipping alone (armed defender).  "
+        "Regenerate with MICHICAN_UPDATE_FLOOR=1 (pins 80% of each measured "
+        "speedup).\"}\n";
   return obs::write_text_file(floor_path(), os);
 }
 
@@ -251,8 +279,8 @@ ScenarioRun run_scenario(const std::string& name, double duration_ms,
 bool write_report(const std::string& path,
                   const std::vector<ScenarioRun>& runs, std::size_t reps,
                   double duration_ms, double fast_path_speedup,
-                  double batched_speedup, const ScenarioRun& trace_off,
-                  const ScenarioRun& trace_on) {
+                  double batched_speedup, double armed_batched_speedup,
+                  const ScenarioRun& trace_off, const ScenarioRun& trace_on) {
   std::string os;
   os += "{\"schema\":\"michican.throughput.v1\",\"reps\":";
   os += std::to_string(reps);
@@ -291,6 +319,7 @@ bool write_report(const std::string& path,
                                  : 0.0;
   os += "],\"fast_path_speedup\":" + fmt_double(fast_path_speedup);
   os += ",\"batched_speedup\":" + fmt_double(batched_speedup);
+  os += ",\"armed_batched_speedup\":" + fmt_double(armed_batched_speedup);
   os += ",\"overhead\":{\"scenario\":\"" + obs::json_escape(trace_off.name);
   os += "\",\"trace_off_ms\":" + fmt_double(trace_off.total_ms);
   os += ",\"trace_on_ms\":" + fmt_double(trace_on.total_ms);
@@ -318,10 +347,14 @@ int main(int argc, char** argv) {
 
   double fast_path_speedup = 0.0;
   double batched_speedup = 0.0;
+  double armed_batched_speedup = 0.0;
   analysis::AsciiTable t{{"Scenario", "Bits", "Mbit/s (sim)", "Skipped",
                           "Batched", "Speedup", "Q-Speedup", "Busy"}};
   for (const auto& r : runs) {
-    if (r.name == kIdleHeavy) fast_path_speedup = r.quiescence_speedup();
+    if (r.name == kIdleHeavy) {
+      fast_path_speedup = r.quiescence_speedup();
+      armed_batched_speedup = r.batch_over_quiescence();
+    }
     if (r.name == kBusyBus) batched_speedup = r.speedup();
     t.add_row({r.name, std::to_string(r.bits),
                fmt(r.bits_per_second() / 1e6, 2),
@@ -338,32 +371,42 @@ int main(int argc, char** argv) {
             << fmt(fast_path_speedup, 2) << "x\n";
   std::cout << "batched speedup on " << kBusyBus << ": "
             << fmt(batched_speedup, 2) << "x\n";
+  std::cout << "armed batched speedup on " << kIdleHeavy
+            << " (batched/quiescence): " << fmt(armed_batched_speedup, 2)
+            << "x\n";
 
-  // Regression gate for the batch engine, pinned like a golden trace.
+  // Regression gates for the batch engine, pinned like a golden trace.
+  const std::vector<FloorGate> gates{
+      {"batched_speedup_floor",
+       std::string{"batched speedup on "} + kBusyBus, batched_speedup},
+      {"armed_batched_speedup_floor",
+       std::string{"armed batched speedup on "} + kIdleHeavy,
+       armed_batched_speedup}};
   if (std::getenv("MICHICAN_UPDATE_FLOOR") != nullptr) {
-    const double floor = 0.8 * batched_speedup;
-    if (!write_pinned_floor(floor)) {
+    if (!write_pinned_floors(gates)) {
       std::cerr << "error: could not write " << floor_path() << "\n";
       return 1;
     }
-    std::cout << "floor regenerated: " << floor_path() << " ("
-              << fmt(floor, 2) << "x)\n";
+    std::cout << "floors regenerated: " << floor_path() << "\n";
   } else {
-    const double floor = read_pinned_floor();
-    if (floor < 0) {
-      std::cerr << "error: missing or malformed " << floor_path()
-                << " — regenerate with MICHICAN_UPDATE_FLOOR=1\n";
-      return 1;
+    for (const auto& g : gates) {
+      const double floor = read_pinned_floor(g.key);
+      if (floor < 0) {
+        std::cerr << "error: missing or malformed " << g.key << " in "
+                  << floor_path()
+                  << " — regenerate with MICHICAN_UPDATE_FLOOR=1\n";
+        return 1;
+      }
+      if (g.measured < floor) {
+        std::cerr << "error: " << g.what << " " << fmt(g.measured, 2)
+                  << "x fell below the pinned floor " << fmt(floor, 2)
+                  << "x; if the regression is intentional, rerun with "
+                     "MICHICAN_UPDATE_FLOOR=1 and review the diff\n";
+        return 1;
+      }
+      std::cout << "pinned floor " << g.key << ": " << fmt(floor, 2)
+                << "x (ok)\n";
     }
-    if (batched_speedup < floor) {
-      std::cerr << "error: batched speedup " << fmt(batched_speedup, 2)
-                << "x on " << kBusyBus << " fell below the pinned floor "
-                << fmt(floor, 2)
-                << "x; if the regression is intentional, rerun with "
-                   "MICHICAN_UPDATE_FLOOR=1 and review the diff\n";
-      return 1;
-    }
-    std::cout << "pinned floor: " << fmt(floor, 2) << "x (ok)\n";
   }
 
   // Observability overhead, measured on the busiest attack scenario: the
@@ -394,8 +437,8 @@ int main(int argc, char** argv) {
 
   if (!opts.report_path.empty()) {
     if (write_report(opts.report_path, runs, reps, duration_ms,
-                     fast_path_speedup, batched_speedup, trace_off,
-                     trace_on)) {
+                     fast_path_speedup, batched_speedup,
+                     armed_batched_speedup, trace_off, trace_on)) {
       std::cout << "JSON report: " << opts.report_path << "\n";
     } else {
       std::cerr << "error: could not write " << opts.report_path << "\n";

@@ -50,10 +50,10 @@ ExperimentSpec controllers_only_spec() {
 
 ExperimentSpec busy_bus_spec() {
   // The batched engine's home turf: a heavily loaded bus with no armed
-  // monitor (a defended node steps every in-frame bit) and no attackers —
-  // the wire is almost always mid-frame, so the word-level path carries
-  // the run.  The ~0.8 target load is the upper end of what a production
-  // 50 kbit/s bus sustains.
+  // monitor (an armed one walks every frame bit by bit from SOF to its
+  // verdict) and no attackers — the wire is almost always mid-frame, so the
+  // word-level path carries the run.  The ~0.8 target load is the upper end
+  // of what a production 50 kbit/s bus sustains.
   ExperimentSpec spec;
   spec.label = "busy_bus";
   spec.defense_enabled = false;

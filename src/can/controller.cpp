@@ -821,8 +821,15 @@ void BitController::handle_transmit_bit(BitLevel bus) {
       return;
     }
   } else if (bus != sent.level) {
-    // On a wired-AND bus a driven dominant level cannot read back recessive.
-    assert(sim::is_dominant(bus) && sim::is_recessive(sent.level));
+    if (sim::is_recessive(bus)) {
+      // A dominant bit read back recessive: a healthy wired-AND bus cannot
+      // do this, but a disturbed one can (bit flips, stuck-recessive
+      // windows).  ISO 11898-1 makes it a bit error in every field; the
+      // arbitration and stuff-bit exceptions below cover only the other
+      // direction (sent recessive, read dominant).
+      begin_error(true, ErrorType::Bit, /*tec_exception=*/false);
+      return;
+    }
     const bool ext = txq_.front().extended;
     if (in_arbitration(sent.unstuffed_pos, ext) && !sent.is_stuff) {
       lose_arbitration(bus);

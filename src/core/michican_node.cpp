@@ -1,5 +1,7 @@
 #include "core/michican_node.hpp"
 
+#include <algorithm>
+
 namespace mcan::core {
 
 MichiCanNode::MichiCanNode(std::string name, const IvnConfig& ivn,
@@ -63,19 +65,23 @@ void MichiCanNode::on_idle_skip(sim::BitTime count) {
 }
 
 can::CanNode::DrivePattern MichiCanNode::drive_pattern(sim::BitTime now) {
-  // The armed monitor runs its per-bit handler during every frame (and its
-  // counterattack window must land on exact bits), so a defended node keeps
-  // the stepped path whenever a frame could be in flight.  With the defense
-  // off this node is just its controller plus an idle PIO tap.
-  if (cfg_.defense_enabled) return {};
-  return ctrl_.drive_pattern(now);
+  DrivePattern p = ctrl_.drive_pattern(now);
+  if (!cfg_.defense_enabled || p.horizon == 0) return p;
+  // The armed monitor reacts on exact bits only (the verdict and the last
+  // counterattack bit); transparent_bits() stops the window before them.
+  // A running counterattack's release bit bounds the window up front, and
+  // the PIO pulls CAN_TX dominant through all of it.
+  p.horizon = std::min(p.horizon, monitor_.prefix_bound());
+  if (pio_.tx_mux_enabled()) p.bits = 0;
+  return p;
 }
 
 sim::BitTime MichiCanNode::transparent_bits(sim::BitTime now,
                                             std::uint64_t word,
                                             sim::BitTime count) {
-  if (cfg_.defense_enabled) return 0;
-  return ctrl_.transparent_bits(now, word, count);
+  const sim::BitTime n = ctrl_.transparent_bits(now, word, count);
+  if (!cfg_.defense_enabled || n == 0) return n;
+  return monitor_.transparent_bits(now, word, n);
 }
 
 void MichiCanNode::on_bus_word(sim::BitTime now, std::uint64_t word,
@@ -85,6 +91,7 @@ void MichiCanNode::on_bus_word(sim::BitTime now, std::uint64_t word,
   pio_.latch_rx(((word >> (count - 1)) & 1u) != 0 ? sim::BitLevel::Recessive
                                                   : sim::BitLevel::Dominant);
   ctrl_.on_bus_word(now, word, count);
+  if (cfg_.defense_enabled) monitor_.on_bus_word(now, word, count);
   now_ = now + count - 1;
 }
 

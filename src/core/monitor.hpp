@@ -12,10 +12,19 @@
 //
 // The handler never transmits a frame of its own: the defender's TEC is
 // untouched by the counterattack (paper Sec. IV-E).
+//
+// Only two bits ever need a reaction beyond the handler's own state: the
+// arm-position verdict (self-transmission query, AttackDetected /
+// CounterattackStart, PIO enable) and the last counterattack bit
+// (CounterattackEnd, PIO release).  Every other bit is pure bookkeeping, so
+// the batched kernel may scan a copy of the state over a bus word, stop
+// before the first reaction bit, and bulk-apply the prefix — through the
+// same transition function the per-bit handler runs.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 
 #include "can/bitstream.hpp"
@@ -54,6 +63,25 @@ struct MonitorStats {
   std::uint64_t detection_bit_sum{};  // sum of decision bit positions
 };
 
+/// Algorithm 1's complete per-bit state.  A plain value, so a word scan can
+/// run on a copy and hand it over whole.
+struct MonitorState {
+  explicit MonitorState(const DetectionFsm& fsm) : runner(fsm) {}
+
+  bool in_frame{false};
+  int cnt_sof{0};  // recessive bits while idle, saturating at 11
+  int pos{0};      // unstuffed position within the frame
+  can::Destuffer destuff;
+  DetectionFsm::Runner runner;
+  std::optional<DetectionFsm::Runner> ext_runner;
+  bool ext_mode{false};  // current frame uses the extended format
+  bool flagged{false};   // start_counterattack
+  bool attacking{false};
+  int attack_bits_left{0};
+  std::uint32_t observed_id{0};
+  MonitorStats stats;
+};
+
 class BitMonitor {
  public:
   BitMonitor(const DetectionFsm& fsm, mcu::PioController& pio,
@@ -82,27 +110,65 @@ class BitMonitor {
   /// True while the monitor is SOF-watching (not tracking a frame or
   /// counterattacking) — recessive bus bits then only grow counters, which
   /// lets the quiescence-skipping kernel bulk-apply them.
-  [[nodiscard]] bool quiescent() const noexcept { return !in_frame_; }
+  [[nodiscard]] bool quiescent() const noexcept { return !st_.in_frame; }
 
   /// Bulk-apply `count` recessive idle bits: exactly what `count` on_bit(
-  /// Recessive) calls in the SOF-watching state would do (idle_bits is
-  /// metrics-visible and advances exactly; cnt_sof_ saturates — only the
-  /// >= 11 threshold matters).
+  /// Recessive) calls in the SOF-watching state would do.
   void on_idle_bits(sim::BitTime count);
 
-  [[nodiscard]] const MonitorStats& stats() const noexcept { return stats_; }
+  // -- Word-batched kernel (see can::CanNode for the contract) -------------
+
+  /// Upper bound on transparent_bits() for any bus word: a running
+  /// counterattack's release bit ends the prefix whatever the bus does.
+  /// Lets a probe that cannot reach the batch minimum fail before the word
+  /// is resolved.
+  [[nodiscard]] sim::BitTime prefix_bound() const noexcept;
+
+  /// Length of the longest prefix of `word` (LSB first, 1 = recessive; the
+  /// `count` <= 64 bits from `now`) the handler absorbs without reaching a
+  /// reaction bit.  The end state is kept for on_bus_word().
+  [[nodiscard]] sim::BitTime transparent_bits(sim::BitTime now,
+                                              std::uint64_t word,
+                                              sim::BitTime count);
+
+  /// Bulk-apply a committed reaction-free window: exactly `count` on_bit()
+  /// calls over its levels.  Adopts the last scan's end state when the bus
+  /// commits exactly the scanned prefix, otherwise replays the window.
+  void on_bus_word(sim::BitTime now, std::uint64_t word, sim::BitTime count);
+
+  [[nodiscard]] const MonitorStats& stats() const noexcept {
+    return st_.stats;
+  }
 
   /// Register the detector's counters ("<prefix>.*", including the
   /// per-path handler invocation counts behind the Sec. V-D CPU model)
   /// into a metrics shard (harvest-time only).
   void export_metrics(obs::Registry& reg, std::string_view prefix) const;
   [[nodiscard]] bool counterattack_active() const noexcept {
-    return attacking_;
+    return st_.attacking;
   }
   [[nodiscard]] const DetectionFsm& fsm() const noexcept { return *fsm_; }
 
  private:
-  void end_frame();
+  /// One Algorithm-1 bit.  At a reaction bit the absorbing instantiation
+  /// returns false and leaves `s` untouched; the reacting one (on_bit)
+  /// runs the same transition and adds the side effects.
+  template <bool kReact>
+  bool advance(MonitorState& s, sim::BitLevel value, sim::BitTime now) const;
+
+  /// Advance `s` by one bit unless that bit may need a reaction.
+  bool absorb(MonitorState& s, sim::BitLevel value) const {
+    return advance<false>(s, value, 0);
+  }
+
+  /// Advance `s` over up to `count` bits of `word`, stopping before the
+  /// first reaction bit; returns the number of bits absorbed.  SOF-watching
+  /// stretches advance in closed form.
+  sim::BitTime absorb_word(MonitorState& s, std::uint64_t word,
+                           sim::BitTime count) const;
+
+  /// Unstuffed position at which a pending malicious verdict arms.
+  [[nodiscard]] int arm_pos(const MonitorState& s) const noexcept;
 
   const DetectionFsm* fsm_;
   mcu::PioController* pio_;
@@ -110,21 +176,17 @@ class BitMonitor {
   std::function<bool()> self_transmitting_;
   sim::EventLog* log_{nullptr};
   std::string node_name_{"michican"};
-
-  // Algorithm-1 state
-  bool in_frame_{false};
-  int cnt_sof_{0};          // consecutive recessive bits while idle
-  int pos_{0};              // unstuffed position within the frame
-  can::Destuffer destuff_;
-  DetectionFsm::Runner runner_;
   const DetectionFsm* ext_fsm_{nullptr};
-  std::optional<DetectionFsm::Runner> ext_runner_;
-  bool ext_mode_{false};    // current frame uses the extended format
-  bool flagged_{false};     // start_counterattack
-  bool attacking_{false};
-  int attack_bits_left_{0};
-  std::uint32_t observed_id_{0};
-  MonitorStats stats_;
+
+  MonitorState st_;
+  // The last transparent_bits() scan: its window start, word, absorbed
+  // length and end state.  The first scan allocates the end state, so a
+  // monitor that is never batched (defense off, naive tier) does not carry
+  // a second state; an inline one slowed defense-off runs measurably.
+  std::unique_ptr<MonitorState> scan_;
+  sim::BitTime scan_at_{0};
+  std::uint64_t scan_word_{0};
+  sim::BitTime scan_len_{0};
 };
 
 }  // namespace mcan::core

@@ -218,10 +218,11 @@ TEST(BatchEngine, StuckWindowCapsBatchingAroundItself) {
 }
 
 TEST(BatchEngine, CounterattackWindowsNeverOpenMidWord) {
-  // An armed MichiCAN monitor needs every in-frame bit stepped (its
-  // counterattack must start on an exact bit), so a defended node vetoes
-  // every batch probe: counterattack windows can never open inside a
-  // committed word.  The veto must cost nothing in fidelity.
+  // An armed MichiCAN monitor reacts on exactly two bits: the arm-position
+  // verdict and the last counterattack bit.  Its transparent prefix stops
+  // before either, so every counterattack starts and ends on a stepped bit
+  // at its exact time, while benign frames and idle stretches still batch.
+  // The event log and the metrics pin each counterattack to its bit.
   auto make = [](bool batching) {
     auto spec = analysis::table2_experiment(2);
     spec.duration = sim::Millis{200.0};
@@ -234,8 +235,8 @@ TEST(BatchEngine, CounterattackWindowsNeverOpenMidWord) {
   ASSERT_GT(batched.counterattacks, 0u);
   EXPECT_EQ(batched.events_jsonl, naive.events_jsonl);
   EXPECT_EQ(batched.metrics.to_json(), naive.metrics.to_json());
-  EXPECT_EQ(batched.bits_batched, 0u)
-      << "a defense-enabled node must veto every batch window";
+  EXPECT_GT(batched.bits_batched, 0u)
+      << "an armed defender must let reaction-free windows batch";
 }
 
 TEST(BatchEngine, SaturatingBitArithmeticNeverWraps) {

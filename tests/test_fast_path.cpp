@@ -284,6 +284,17 @@ TEST(EngineEquivalence, BusyBusScenarioActuallyBatches) {
   EXPECT_GT(res.bits_batched, bits / 2);
 }
 
+TEST(EngineEquivalence, DefendedIdleBusActuallyBatches) {
+  auto spec = analysis::ScenarioRegistry::built_in().make("restbus-idle");
+  spec.duration = sim::Millis{500.0};
+  ASSERT_TRUE(spec.defense_enabled);
+  const auto res = analysis::run_experiment(spec);
+  // Benign frames past an armed monitor's verdict are reaction-free: the
+  // word engine must resolve some of them, or the registry-wide identity
+  // sweep above would pass vacuously on every armed scenario.
+  EXPECT_GT(res.bits_batched, 0u);
+}
+
 TEST(EngineEquivalence, StaleNextActivityThrowsInsteadOfSkipping) {
   can::WiredAndBus bus{sim::BusSpeed{50'000}};
   LyingNode liar;

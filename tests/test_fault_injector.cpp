@@ -123,6 +123,34 @@ TEST(FaultInjector, ScheduledFlipDestroysTargetedFrame) {
   EXPECT_EQ(env.tx.stats().frames_sent, 1u);
 }
 
+TEST(FaultInjector, DominantIdBitReadRecessiveIsABitError) {
+  // A flip that makes the lone transmitter read its dominant ID bit back
+  // recessive is a bit error (ISO 11898-1): the arbitration exception only
+  // covers a recessive bit overwritten dominant, so nobody lost
+  // arbitration and the transmitter pays TEC +8.
+  FaultyBus env;
+  FaultSpec fs;
+  // ID 0x455 opens 1,0,0,0: the flip lands inside that dominant run, and
+  // no stuff bit precedes it.
+  fs.flips.push_back({0, Field::Id, 1});
+  FaultInjector inj{fs, 0};
+  env.bus.set_fault_injector(&inj);
+  env.tx.enqueue(CanFrame::make(0x455, {0xAA}));
+  env.bus.run(400);
+
+  EXPECT_EQ(inj.stats().scheduled_flips, 1u);
+  EXPECT_EQ(env.bus.log().count(EventKind::ArbitrationLost), 0u);
+  EXPECT_EQ(env.tx.stats().arbitration_losses, 0u);
+  const sim::Event* error = env.bus.log().first(EventKind::TxError, 0, "tx");
+  ASSERT_NE(error, nullptr);
+  EXPECT_EQ(error->a, static_cast<std::int64_t>(ErrorType::Bit));
+  EXPECT_EQ(error->b, 0);  // TEC when the error was seen
+  EXPECT_EQ(env.bus.log().count(EventKind::TxError, "tx"), 1u);
+  // +8 for the bit error, -1 for the retransmission that then succeeds.
+  EXPECT_EQ(env.tx.tec(), 7);
+  EXPECT_EQ(env.received, 1u);
+}
+
 TEST(FaultInjector, StuckDominantChargesTransmitterPerIso10111) {
   FaultyBus env;
   FaultSpec fs;

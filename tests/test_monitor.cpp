@@ -1,9 +1,16 @@
 // Direct unit tests of the Algorithm-1 bit monitor: synchronization,
 // stuff-bit removal, FSM integration, counterattack arming and release.
-// The monitor is driven with hand-crafted bit streams, without a bus.
+// The monitor is driven with hand-crafted bit streams, without a bus.  A
+// seeded differential test holds the word path (scan, bulk apply) to the
+// per-bit handler.
 #include "core/monitor.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "can/bitstream.hpp"
 #include "can/frame.hpp"
@@ -274,6 +281,226 @@ TEST(BitMonitor, StuffErrorDuringExtendedTrackingResyncs) {
   h.idle(12);
   h.feed_frame(can::CanFrame::make(0x173, {0x01}));
   EXPECT_EQ(h.monitor.stats().counterattacks, 1u);
+}
+
+// --- word path vs per-bit handler ------------------------------------------
+
+/// A random wire stream: standard and extended frames with flagged and
+/// benign IDs, frames killed by a stuff error inside the ID, and truncated
+/// frames followed by an error flag and delimiter.  A frame ends in 8
+/// recessive bits (10 when nobody acknowledges), an error sequence in 8,
+/// so the short idle gaps put the run before the next dominant edge on both
+/// sides of the 11-recessive SOF threshold.
+std::vector<BitLevel> random_wire(sim::Rng& rng, int frames) {
+  std::vector<BitLevel> out;
+  const auto push = [&](BitLevel level, std::uint64_t n) {
+    out.insert(out.end(), n, level);
+  };
+  for (int f = 0; f < frames; ++f) {
+    push(BitLevel::Recessive, rng.chance(0.8) ? rng.uniform(0, 6)
+                                              : rng.uniform(7, 20));
+    if (rng.chance(0.1)) push(BitLevel::Dominant, rng.uniform(1, 3));
+
+    // Flagged standard IDs lie in 0x100..0x17F; flagged extended IDs are
+    // either low (29-bit FSM) or carry a flagged base ID.
+    const bool flagged = rng.chance(0.5);
+    can::CanFrame frame;
+    if (rng.chance(0.3)) {
+      const auto base = static_cast<can::CanId>(
+          flagged && rng.chance(0.5) ? rng.uniform(0x100, 0x17F)
+                                     : rng.uniform(0x200, 0x7FF));
+      frame.id = flagged && rng.chance(0.5)
+                     ? static_cast<can::CanId>(rng.uniform(0, 0xFFFFF))
+                     : (base << 18) |
+                           static_cast<can::CanId>(rng.uniform(0, 0x3FFFF));
+      frame.extended = true;
+    } else {
+      frame.id = static_cast<can::CanId>(
+          flagged ? rng.uniform(0x100, 0x17F) : rng.uniform(0x180, 0x7FF));
+    }
+    frame.dlc = static_cast<std::uint8_t>(rng.uniform(0, 8));
+    for (auto& b : frame.data) b = static_cast<std::uint8_t>(rng.next());
+
+    const auto wire = can::wire_bits(frame);
+    std::size_t len = wire.size();
+    const bool stuff_error = rng.chance(0.15);
+    if (stuff_error) {
+      len = rng.uniform(1, 10);  // six equal levels starting inside the ID
+    } else if (rng.chance(0.1)) {
+      len = rng.uniform(1, len - 1);
+    }
+    const bool acked = rng.chance(0.8);
+    for (std::size_t i = 0; i < len; ++i) {
+      const bool ack = wire[i].field == can::Field::AckSlot;
+      out.push_back(ack && acked ? BitLevel::Dominant : wire[i].level);
+    }
+    if (stuff_error) {
+      push(out.back(), 5);
+    }
+    if (len < wire.size()) {
+      push(BitLevel::Dominant, 6);  // error flag
+      push(BitLevel::Recessive, 8);  // error delimiter
+    }
+  }
+  return out;
+}
+
+/// One monitor with its own PIO and event log.  The self-transmission
+/// oracle is a fixed function of the bit being handled, so both drivers
+/// see the same answers as long as they query on the same bits.
+struct Replica {
+  mcu::PioController pio;
+  sim::EventLog log;
+  BitMonitor monitor;
+  sim::BitTime now{0};
+
+  Replica(const DetectionFsm& fsm, const DetectionFsm* ext, MonitorConfig cfg)
+      : monitor(fsm, pio, cfg) {
+    monitor.set_extended_fsm(ext);
+    monitor.set_event_log(&log, "def");
+    monitor.set_self_transmitting([this] { return now % 3 == 0; });
+  }
+  Replica(const Replica&) = delete;
+  Replica& operator=(const Replica&) = delete;
+
+  void step(const std::vector<BitLevel>& wire) {
+    monitor.on_bit(now, wire[now]);
+    ++now;
+  }
+};
+
+struct PioSample {
+  BitLevel level;
+  std::uint64_t toggles;
+  bool operator==(const PioSample&) const = default;
+};
+
+PioSample sample(const Replica& r) {
+  return {r.pio.tx_contribution(), r.pio.tx_mux_toggles()};
+}
+
+void expect_same_events(const sim::EventLog& a, const sim::EventLog& b) {
+  ASSERT_EQ(a.events().size(), b.events().size());
+  for (std::size_t i = 0; i < a.events().size(); ++i) {
+    const auto& x = a.events()[i];
+    const auto& y = b.events()[i];
+    EXPECT_EQ(x.at, y.at) << "event " << i;
+    EXPECT_EQ(x.kind, y.kind) << "event " << i;
+    EXPECT_EQ(x.id, y.id) << "event " << i;
+    EXPECT_EQ(x.a, y.a) << "event " << i;
+    EXPECT_EQ(x.b, y.b) << "event " << i;
+    EXPECT_EQ(x.node, y.node) << "event " << i;
+  }
+}
+
+void expect_same_stats(const MonitorStats& a, const MonitorStats& b) {
+  EXPECT_EQ(a.frames_observed, b.frames_observed);
+  EXPECT_EQ(a.attacks_detected, b.attacks_detected);
+  EXPECT_EQ(a.counterattacks, b.counterattacks);
+  EXPECT_EQ(a.suppressed_self, b.suppressed_self);
+  EXPECT_EQ(a.idle_bits, b.idle_bits);
+  EXPECT_EQ(a.fsm_bits, b.fsm_bits);
+  EXPECT_EQ(a.track_bits, b.track_bits);
+  EXPECT_EQ(a.detection_bit_sum, b.detection_bit_sum);
+}
+
+TEST(BitMonitorWordPath, MatchesPerBitHandlerOnRandomStreams) {
+  IdRangeSet std_d;
+  std_d.add(0x100, 0x17F);
+  IdRangeSet ext_d;
+  ext_d.add(0x0, 0xFFFFF);
+  const auto fsm = DetectionFsm::build(std_d);
+  const auto ext_fsm = DetectionFsm::build(ext_d, can::kExtIdBits);
+
+  struct Variant {
+    const char* name;
+    bool guard_extended;
+    MonitorConfig cfg;
+  };
+  MonitorConfig no_prevention;
+  no_prevention.prevention_enabled = false;
+  MonitorConfig long_window;
+  long_window.attack_bits = 20;  // lets windows batch inside the attack
+  const Variant variants[] = {{"paper", false, {}},
+                              {"guarded", true, {}},
+                              {"detect-only", true, no_prevention},
+                              {"long-window", false, long_window}};
+
+  std::uint64_t adopted = 0;
+  std::uint64_t replayed = 0;
+  std::uint64_t cut_short = 0;
+  for (const auto& v : variants) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE(std::string{v.name} + " seed " + std::to_string(seed));
+      sim::Rng rng{seed};
+      const auto wire = random_wire(rng, 150);
+      const DetectionFsm* ext = v.guard_extended ? &ext_fsm : nullptr;
+
+      // Reference: the per-bit handler, PIO sampled after every bit.
+      Replica ref{fsm, ext, v.cfg};
+      std::vector<PioSample> pio;
+      while (ref.now < wire.size()) {
+        ref.step(wire);
+        pio.push_back(sample(ref));
+      }
+
+      // Word path, driven the way the bus drives it: scan a window, commit
+      // a prefix no longer than the scan, step the next bit per bit.
+      // Recessive stretches while SOF-watching go through on_idle_bits()
+      // like a quiescence skip.
+      Replica word{fsm, ext, v.cfg};
+      while (word.now < wire.size()) {
+        const sim::BitTime left = wire.size() - word.now;
+        if (word.monitor.quiescent() && rng.chance(0.2)) {
+          sim::BitTime run = 0;
+          while (run < left && sim::is_recessive(wire[word.now + run])) ++run;
+          if (run > 0) {
+            const sim::BitTime n = rng.uniform(1, run);
+            word.monitor.on_idle_bits(n);
+            word.now += n;
+            EXPECT_EQ(sample(word), pio[word.now - 1]);
+            continue;
+          }
+        }
+        const sim::BitTime count = std::min<sim::BitTime>(
+            rng.uniform(1, 64), left);
+        // Levels past `count` are another node's business: garbage here.
+        std::uint64_t bits = rng.next();
+        for (sim::BitTime i = 0; i < count; ++i) {
+          const std::uint64_t m = std::uint64_t{1} << i;
+          bits = sim::is_recessive(wire[word.now + i]) ? bits | m : bits & ~m;
+        }
+        const sim::BitTime bound = word.monitor.prefix_bound();
+        const sim::BitTime scanned =
+            word.monitor.transparent_bits(word.now, bits, count);
+        EXPECT_LE(scanned, bound);
+        if (scanned < count) ++cut_short;
+        sim::BitTime commit = scanned;
+        if (scanned > 1 && rng.chance(0.4)) {
+          commit = rng.uniform(1, scanned - 1);
+        }
+        if (commit > 0) {
+          ++(commit == scanned ? adopted : replayed);
+          word.monitor.on_bus_word(word.now, bits, commit);
+          word.now += commit;
+          EXPECT_EQ(sample(word), pio[word.now - 1]);
+        }
+        if (word.now < wire.size()) {
+          word.step(wire);
+          EXPECT_EQ(sample(word), pio[word.now - 1]);
+        }
+      }
+
+      expect_same_stats(word.monitor.stats(), ref.monitor.stats());
+      expect_same_events(word.log, ref.log);
+      EXPECT_GT(ref.monitor.stats().attacks_detected, 0u);
+      EXPECT_GT(ref.monitor.stats().suppressed_self, 0u);
+    }
+  }
+  // Both bulk-apply paths ran, and scans stopped on reaction bits.
+  EXPECT_GT(adopted, 100u);
+  EXPECT_GT(replayed, 100u);
+  EXPECT_GT(cut_short, 100u);
 }
 
 }  // namespace
