@@ -1,50 +1,45 @@
 // Simulator self-profiling baseline: bits simulated per wall-clock second
 // across scenarios of increasing protocol activity, the speedup of the
-// word-level batched engine and the quiescence-skipping kernel over the
-// naive per-bit kernel, and the cost of the observability layer itself
-// (metrics-harvest share and timeline-capture on-vs-off overhead).
+// batch-window engine over the naive per-bit kernel, and the cost of the
+// observability layer itself (metrics-harvest share and timeline-capture
+// on-vs-off overhead).
 //
 //   bench_throughput [--seeds N] [--report PATH]
 //
 // The workload mix comes from analysis::ScenarioRegistry — the same names
 // `michican_cli list-scenarios` prints — so a scenario row here and a
-// campaign invocation mean the same spec.  Every scenario runs under all
-// three engine tiers — batched (word engine + fast path), quiescence (fast
-// path alone) and naive per-bit; all three recordings are byte-identical
-// (the equivalence tests enforce it), so the speedup columns isolate pure
-// kernel cost.
+// campaign invocation mean the same spec.  Every scenario runs under both
+// engine tiers — the batch-window engine (fast path) and naive per-bit; the
+// two recordings are byte-identical (the equivalence tests enforce it), so
+// the speedup column isolates pure kernel cost.
 //
 // --seeds N controls the repetitions per scenario (default 3; each rep uses
 // its own seed so the recordings differ).  The sim_ms columns sum over
-// reps; the speedup columns compare the *fastest* rep of each engine
+// reps; the speedup column compares the *fastest* rep of each engine
 // (per-engine minima), which filters out scheduler preemption noise on
-// shared runners.  The report is "michican.throughput.v1":
+// shared runners.  The report is "michican.throughput.v2":
 //   {
-//     "schema": "michican.throughput.v1",
+//     "schema": "michican.throughput.v2",
 //     "reps": <n>, "duration_ms": <f>,
 //     "scenarios": [{"name": <str>, "bits": <u64>, "sim_ms": <f>,
 //                    "bits_per_second": <f>, "events": <u64>,
 //                    "busy_fraction": <f>, "bits_skipped": <u64>,
 //                    "bits_batched": <u64>,
-//                    "quiescence_sim_ms": <f>,
-//                    "quiescence_bits_per_second": <f>,
-//                    "quiescence_speedup": <f>,
 //                    "naive_sim_ms": <f>, "naive_bits_per_second": <f>,
-//                    "min_sim_ms": <f>, "min_quiescence_sim_ms": <f>,
-//                    "min_naive_sim_ms": <f>, "speedup": <f>}],
-//     "fast_path_speedup": <f>,   // idle-heavy rest-bus row, quiescence/naive
-//     "batched_speedup": <f>,     // busy-bus row, batched engine over naive
+//                    "min_sim_ms": <f>, "min_naive_sim_ms": <f>,
+//                    "speedup": <f>}],
+//     "batched_speedup": <f>,     // busy-bus row, engine over naive
 //     "armed_batched_speedup": <f>,  // idle-heavy rest-bus row (armed
-//                                    // defender), batched over quiescence
+//                                    // defender), engine over naive
 //     "overhead": {"scenario": <str>, "trace_off_ms": <f>,
 //                  "trace_on_ms": <f>, "trace_overhead_pct": <f>,
 //                  "metrics_phase_pct": <f>}
 //   }
-// "fast_path_speedup" gates the idle-heavy regime (quiescence skipping);
-// "batched_speedup" gates the busy-bus regime (word-level batching) and
-// "armed_batched_speedup" the word engine's share on a bus with an armed
-// defender: the run exits nonzero when either drops below its floor pinned
-// in bench/throughput_floor.json.  Like the golden traces, the pins update
+// "batched_speedup" gates the busy-bus regime (frame windows) and
+// "armed_batched_speedup" the idle-heavy regime with an armed defender
+// (long idle windows plus the frames past the monitor's verdict): the run
+// exits nonzero when either drops below its floor pinned in
+// bench/throughput_floor.json.  Like the golden traces, the pins update
 // via an env var —
 //
 //   MICHICAN_UPDATE_FLOOR=1 ./bench_throughput
@@ -77,16 +72,14 @@ using analysis::fmt;
 using obs::fmt_double;
 
 /// Registry names of the workload mix, in increasing protocol activity.
-/// kIdleHeavy is the CI reference row for the fast-path speedup gate: a
-/// periodic defender plus the replayed rest-bus matrix leaves most of the
-/// 50 kbit/s bus quiescent — exactly the regime the skipping kernel
-/// targets.  kBusyBus is the batched-engine reference row: an ~80% loaded
-/// rest-bus replay with the defense monitor off, so nearly every bit sits
-/// inside a long transparent horizon the word engine can resolve 64 at a
-/// time.  kIdleHeavy doubles as the armed-defender reference row: its
-/// benign frames pass the armed monitor's verdict, so the word engine must
-/// beat quiescence skipping alone there.  kOverheadScenario hosts the
-/// observability-cost measurement.
+/// kIdleHeavy is the armed-defender reference row: a periodic defender plus
+/// the replayed rest-bus matrix leaves most of the 50 kbit/s bus idle (long
+/// all-recessive windows), and its benign frames pass the armed monitor's
+/// verdict (frame windows).  kBusyBus is the frame-window reference row: an
+/// ~80% loaded rest-bus replay with the defense monitor off, so nearly
+/// every bit sits inside a long transparent horizon the engine can resolve
+/// 64 at a time.  kOverheadScenario hosts the observability-cost
+/// measurement.
 /// atk-flood-paced tracks the toolkit attack profiles: a rate-paced flood
 /// against the live defense with the rest-bus replay underneath.
 constexpr const char* kScenarioNames[] = {
@@ -97,46 +90,36 @@ constexpr const char* kIdleHeavy = "restbus-idle";
 constexpr const char* kBusyBus = "busy-bus";
 constexpr const char* kOverheadScenario = "exp5";
 
-/// Which kernel configuration a flavour exercises.  The tiers are strictly
-/// ordered: each one enables everything the previous tier has.
+/// Which kernel configuration a flavour exercises.
 enum class Engine {
-  kNaive,       // per-bit stepping, no skipping, no batching
-  kQuiescence,  // idle-run skipping (fast path) on, batching off
-  kBatched,     // fast path + word-level batch engine (the default config)
+  kNaive,    // per-bit stepping (fast path off)
+  kBatched,  // batch-window engine (the default config)
 };
 
 struct ScenarioRun {
   std::string name;
   // Batched-engine flavour — the shipping default — fills the primary
-  // columns; the quiescence_* / naive_* columns hold the comparison tiers.
+  // columns; the naive_* columns hold the comparison tier.
   std::uint64_t bits{};
   double sim_ms{};      // wall clock inside bus.run, summed over reps
   double total_ms{};    // whole run_experiment wall clock, summed over reps
   double metrics_ms{};  // metrics-harvest phase, summed over reps
   std::uint64_t events{};
-  std::uint64_t bits_skipped{};  // covered by the quiescence-skipping kernel
-  std::uint64_t bits_batched{};  // resolved word-at-a-time by the batch engine
+  std::uint64_t bits_skipped{};  // covered by all-recessive (idle) windows
+  std::uint64_t bits_batched{};  // covered by every other window
   double busy_fraction{};        // of the last rep
-  double quiescence_sim_ms{};    // fast path on, batching off
-  std::uint64_t quiescence_bits{};
-  double naive_sim_ms{};  // same reps with both kernels off
+  double naive_sim_ms{};  // same reps with the fast path off
   std::uint64_t naive_bits{};
-  // Fastest single rep per engine.  The speedup columns (and the CI floor
-  // gate) use these: each rep simulates the same bit count, so the ratio
+  // Fastest single rep per engine.  The speedup column (and the CI floor
+  // gates) use these: each rep simulates the same bit count, so the ratio
   // of per-engine minima measures kernel cost with scheduler noise — a
   // real hazard on shared runners — filtered out, where a ratio of sums
   // lets one preempted rep swing the gate by 2-3x.
   double min_sim_ms{1e300};
-  double min_quiescence_sim_ms{1e300};
   double min_naive_sim_ms{1e300};
 
   [[nodiscard]] double bits_per_second() const {
     return sim_ms > 0 ? static_cast<double>(bits) / (sim_ms / 1e3) : 0.0;
-  }
-  [[nodiscard]] double quiescence_bits_per_second() const {
-    return quiescence_sim_ms > 0 ? static_cast<double>(quiescence_bits) /
-                                       (quiescence_sim_ms / 1e3)
-                                 : 0.0;
   }
   [[nodiscard]] double naive_bits_per_second() const {
     return naive_sim_ms > 0
@@ -148,19 +131,6 @@ struct ScenarioRun {
   [[nodiscard]] double speedup() const {
     return min_sim_ms > 0 && min_naive_sim_ms < 1e300
                ? min_naive_sim_ms / min_sim_ms
-               : 0.0;
-  }
-  /// Quiescence-kernel speedup over naive (isolates skip gains alone).
-  [[nodiscard]] double quiescence_speedup() const {
-    return min_quiescence_sim_ms > 0 && min_naive_sim_ms < 1e300
-               ? min_naive_sim_ms / min_quiescence_sim_ms
-               : 0.0;
-  }
-  /// Batched-engine speedup over the quiescence kernel (isolates the word
-  /// engine's gain on top of skipping).
-  [[nodiscard]] double batch_over_quiescence() const {
-    return min_sim_ms > 0 && min_quiescence_sim_ms < 1e300
-               ? min_quiescence_sim_ms / min_sim_ms
                : 0.0;
   }
 };
@@ -206,11 +176,10 @@ bool write_pinned_floors(const std::vector<FloorGate>& gates) {
     os += "\":" + fmt_double(0.8 * g.measured) + ",";
   }
   os += "\"note\":\"Minimum speedups bench_throughput fails below: "
-        "batched_speedup_floor is the busy-bus batched engine over the naive "
-        "per-bit kernel, armed_batched_speedup_floor the restbus-idle "
-        "batched engine over quiescence skipping alone (armed defender).  "
-        "Regenerate with MICHICAN_UPDATE_FLOOR=1 (pins 80% of each measured "
-        "speedup).\"}\n";
+        "batched_speedup_floor is the busy-bus batch-window engine over the "
+        "naive per-bit kernel, armed_batched_speedup_floor the restbus-idle "
+        "engine over naive (armed defender).  Regenerate with "
+        "MICHICAN_UPDATE_FLOOR=1 (pins 80% of each measured speedup).\"}\n";
   return obs::write_text_file(floor_path(), os);
 }
 
@@ -223,11 +192,10 @@ analysis::ExperimentSpec bench_spec(const std::string& name,
 }
 
 /// Accumulate `reps` recordings of `spec` into `run` under one engine tier
-/// (batched fills the primary columns, the others their comparison ones).
+/// (batched fills the primary columns, naive its comparison ones).
 void accumulate(ScenarioRun& run, analysis::ExperimentSpec spec,
                 std::size_t reps, Engine engine, bool capture_timeline) {
-  spec.fast_path = engine != Engine::kNaive;
-  spec.batching = engine == Engine::kBatched;
+  spec.fast_path = engine == Engine::kBatched;
   spec.capture_timeline = capture_timeline;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     spec.seed = 42 + rep;
@@ -248,12 +216,6 @@ void accumulate(ScenarioRun& run, analysis::ExperimentSpec spec,
         run.bits_batched += res.bits_batched;
         run.busy_fraction = res.busy_fraction;
         break;
-      case Engine::kQuiescence:
-        run.quiescence_bits += bits;
-        run.quiescence_sim_ms += sim_ms;
-        run.min_quiescence_sim_ms =
-            std::min(run.min_quiescence_sim_ms, sim_ms);
-        break;
       case Engine::kNaive:
         run.naive_bits += bits;
         run.naive_sim_ms += sim_ms;
@@ -269,8 +231,6 @@ ScenarioRun run_scenario(const std::string& name, double duration_ms,
   run.name = name;
   accumulate(run, bench_spec(name, duration_ms), reps, Engine::kBatched,
              capture_timeline);
-  accumulate(run, bench_spec(name, duration_ms), reps, Engine::kQuiescence,
-             capture_timeline);
   accumulate(run, bench_spec(name, duration_ms), reps, Engine::kNaive,
              capture_timeline);
   return run;
@@ -278,11 +238,11 @@ ScenarioRun run_scenario(const std::string& name, double duration_ms,
 
 bool write_report(const std::string& path,
                   const std::vector<ScenarioRun>& runs, std::size_t reps,
-                  double duration_ms, double fast_path_speedup,
-                  double batched_speedup, double armed_batched_speedup,
+                  double duration_ms, double batched_speedup,
+                  double armed_batched_speedup,
                   const ScenarioRun& trace_off, const ScenarioRun& trace_on) {
   std::string os;
-  os += "{\"schema\":\"michican.throughput.v1\",\"reps\":";
+  os += "{\"schema\":\"michican.throughput.v2\",\"reps\":";
   os += std::to_string(reps);
   os += ",\"duration_ms\":" + fmt_double(duration_ms);
   os += ",\"scenarios\":[";
@@ -297,14 +257,9 @@ bool write_report(const std::string& path,
     os += ",\"busy_fraction\":" + fmt_double(r.busy_fraction);
     os += ",\"bits_skipped\":" + std::to_string(r.bits_skipped);
     os += ",\"bits_batched\":" + std::to_string(r.bits_batched);
-    os += ",\"quiescence_sim_ms\":" + fmt_double(r.quiescence_sim_ms);
-    os += ",\"quiescence_bits_per_second\":" +
-          fmt_double(r.quiescence_bits_per_second());
-    os += ",\"quiescence_speedup\":" + fmt_double(r.quiescence_speedup());
     os += ",\"naive_sim_ms\":" + fmt_double(r.naive_sim_ms);
     os += ",\"naive_bits_per_second\":" + fmt_double(r.naive_bits_per_second());
     os += ",\"min_sim_ms\":" + fmt_double(r.min_sim_ms);
-    os += ",\"min_quiescence_sim_ms\":" + fmt_double(r.min_quiescence_sim_ms);
     os += ",\"min_naive_sim_ms\":" + fmt_double(r.min_naive_sim_ms);
     os += ",\"speedup\":" + fmt_double(r.speedup()) + "}";
   }
@@ -317,8 +272,7 @@ bool write_report(const std::string& path,
                                  ? 100.0 * trace_off.metrics_ms /
                                        trace_off.total_ms
                                  : 0.0;
-  os += "],\"fast_path_speedup\":" + fmt_double(fast_path_speedup);
-  os += ",\"batched_speedup\":" + fmt_double(batched_speedup);
+  os += "],\"batched_speedup\":" + fmt_double(batched_speedup);
   os += ",\"armed_batched_speedup\":" + fmt_double(armed_batched_speedup);
   os += ",\"overhead\":{\"scenario\":\"" + obs::json_escape(trace_off.name);
   os += "\",\"trace_off_ms\":" + fmt_double(trace_off.total_ms);
@@ -345,35 +299,27 @@ int main(int argc, char** argv) {
         run_scenario(name, duration_ms, reps, /*capture_timeline=*/false));
   }
 
-  double fast_path_speedup = 0.0;
   double batched_speedup = 0.0;
   double armed_batched_speedup = 0.0;
   analysis::AsciiTable t{{"Scenario", "Bits", "Mbit/s (sim)", "Skipped",
-                          "Batched", "Speedup", "Q-Speedup", "Busy"}};
+                          "Batched", "Speedup", "Busy"}};
   for (const auto& r : runs) {
-    if (r.name == kIdleHeavy) {
-      fast_path_speedup = r.quiescence_speedup();
-      armed_batched_speedup = r.batch_over_quiescence();
-    }
+    if (r.name == kIdleHeavy) armed_batched_speedup = r.speedup();
     if (r.name == kBusyBus) batched_speedup = r.speedup();
     t.add_row({r.name, std::to_string(r.bits),
                fmt(r.bits_per_second() / 1e6, 2),
                std::to_string(r.bits_skipped),
                std::to_string(r.bits_batched), fmt(r.speedup(), 2) + "x",
-               fmt(r.quiescence_speedup(), 2) + "x",
                analysis::fmt_pct(r.busy_fraction)});
   }
   t.print(std::cout, "Simulated-bit throughput (" + std::to_string(reps) +
                          " reps x " + fmt(duration_ms, 0) +
-                         " ms at 50 kbit/s, batched vs quiescence vs naive "
+                         " ms at 50 kbit/s, batch-window engine vs naive "
                          "kernel):");
-  std::cout << "fast-path speedup on " << kIdleHeavy << ": "
-            << fmt(fast_path_speedup, 2) << "x\n";
   std::cout << "batched speedup on " << kBusyBus << ": "
             << fmt(batched_speedup, 2) << "x\n";
   std::cout << "armed batched speedup on " << kIdleHeavy
-            << " (batched/quiescence): " << fmt(armed_batched_speedup, 2)
-            << "x\n";
+            << " (engine/naive): " << fmt(armed_batched_speedup, 2) << "x\n";
 
   // Regression gates for the batch engine, pinned like a golden trace.
   const std::vector<FloorGate> gates{
@@ -437,8 +383,8 @@ int main(int argc, char** argv) {
 
   if (!opts.report_path.empty()) {
     if (write_report(opts.report_path, runs, reps, duration_ms,
-                     fast_path_speedup, batched_speedup,
-                     armed_batched_speedup, trace_off, trace_on)) {
+                     batched_speedup, armed_batched_speedup, trace_off,
+                     trace_on)) {
       std::cout << "JSON report: " << opts.report_path << "\n";
     } else {
       std::cerr << "error: could not write " << opts.report_path << "\n";

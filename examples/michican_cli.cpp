@@ -167,7 +167,6 @@ int cmd_experiment(const runner::CliOptions& opts,
       pos.size() > 2 ? std::atof(pos[2].c_str()) : spec.duration.value();
   spec.duration = sim::Millis{duration_ms};
   spec.fast_path = opts.fast_path;
-  spec.batching = opts.batching;
   const auto res = analysis::run_experiment(spec);
 
   analysis::AsciiTable t{{"Attacker", "Cycles", "mu (ms)", "sigma (ms)",
@@ -246,7 +245,6 @@ int cmd_campaign(const runner::CliOptions& opts,
     auto spec = registry().make(name);
     apply_replay(rf, spec);
     spec.fast_path = opts.fast_path;
-    spec.batching = opts.batching;
     cfg.specs.push_back(std::move(spec));
   }
   cfg.seeds = opts.seeds;
@@ -325,7 +323,6 @@ int cmd_fault_sweep(const runner::CliOptions& opts,
   for (const auto& s : scenarios) {
     auto spec = registry().make(s);
     spec.fast_path = opts.fast_path;
-    spec.batching = opts.batching;
     cfg.base_specs.push_back(std::move(spec));
   }
   if (!bers.empty()) cfg.bers = bers;
@@ -424,7 +421,6 @@ int cmd_trace(const runner::CliOptions& opts,
   spec.duration = sim::Millis{duration_ms};
   spec.capture_timeline = true;
   spec.fast_path = opts.fast_path;
-  spec.batching = opts.batching;
   const auto res = analysis::run_experiment(spec);
   std::cout << "scenario: " << spec.label << ", seed " << spec.seed << ", "
             << fmt(duration_ms, 0) << " ms, "
@@ -443,7 +439,6 @@ int cmd_sweep(const runner::CliOptions& opts,
     auto spec = analysis::multi_attacker_spec(a);
     spec.duration = sim::Millis{3000};
     spec.fast_path = opts.fast_path;
-    spec.batching = opts.batching;
     const auto res = analysis::run_experiment(spec);
     t.add_row({std::to_string(a), fmt(res.first_cycle_total_bits, 0),
                fmt(speed.bits_to_ms(res.first_cycle_total_bits), 1)});
@@ -816,7 +811,6 @@ int cmd_fleet(const runner::CliOptions& opts,
   runner::FleetConfig cfg;
   cfg.jobs = opts.jobs;
   cfg.fast_path = opts.fast_path;
-  cfg.batching = opts.batching;
   cfg.cache_dir = ".michican-fleet-cache";
   std::string fleet_stats_path;
   ArgTable table = fleet_shared_table(cfg);
@@ -870,7 +864,6 @@ int cmd_fleet_worker(const runner::CliOptions& opts,
   runner::FleetConfig cfg;
   cfg.jobs = opts.jobs;
   cfg.fast_path = opts.fast_path;
-  cfg.batching = opts.batching;
   std::uint64_t shard = 0;
   std::uint64_t shards = 1;
   std::string summary_path;

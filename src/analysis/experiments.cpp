@@ -388,7 +388,6 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
 
   // --- run the recording ----------------------------------------------------
   topo.set_fast_path(spec.fast_path);
-  topo.set_batching(spec.batching);
   const auto t_setup = ProfileClock::now();
   topo.run_for(spec.duration);
   const auto t_sim = ProfileClock::now();

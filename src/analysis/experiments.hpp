@@ -93,14 +93,10 @@ struct ExperimentSpec {
   /// a JSONL event dump (ExperimentResult::timeline_json / events_jsonl).
   /// Off by default: export is the only obs feature with per-event cost.
   bool capture_timeline{false};
-  /// Quiescence-skipping kernel (WiredAndBus fast path).  The recording is
+  /// Batch-window engine (WiredAndBus fast path).  The recording is
   /// byte-identical either way; forcing it off (--no-fast-path) pins the
   /// naive per-bit kernel when bisecting.
   bool fast_path{true};
-  /// Word-level batched bit engine (transparent-horizon wired-AND, 64 bits
-  /// per round).  Byte-identical to per-bit stepping; forcing it off
-  /// (--no-batch) pins the per-bit kernel when bisecting.
-  bool batching{true};
   /// Multi-bus wiring; the default single-bus value changes nothing.
   TopologySpec topology;
   /// Captured-log replay onto the rest-bus segment; default off.
@@ -166,12 +162,13 @@ struct ExperimentResult {
   /// Wall-clock self-profile of this task's phases (setup / sim / harvest /
   /// metrics export / timeline render).  Runtime facts — not deterministic.
   obs::Profiler profile;
-  /// Bits the quiescence-skipping kernel covered without per-bit stepping.
-  /// Runtime perf info (varies with spec.fast_path) — kept out of `metrics`
-  /// so the deterministic sections stay identical with the fast path on/off.
+  /// Bits the engine covered in windows whose resolved word is all recessive
+  /// (idle-bus skips) instead of per-bit stepping.  Runtime perf info
+  /// (varies with spec.fast_path) — kept out of `metrics` so the
+  /// deterministic sections stay identical with the fast path on/off.
   std::uint64_t bits_skipped{};
-  /// Bits the batched engine resolved in word-sized rounds (same caveat:
-  /// runtime perf info, varies with spec.batching, kept out of `metrics`).
+  /// Bits the engine resolved in every other window (same caveat: runtime
+  /// perf info, kept out of `metrics`).
   std::uint64_t bits_batched{};
   /// Chrome trace-event JSON + JSONL dump when spec.capture_timeline.
   std::string timeline_json;

@@ -64,7 +64,7 @@ ExperimentSpec busy_bus_spec() {
 }
 
 ExperimentSpec restbus_idle_spec() {
-  // The quiescence-skipping kernel's home turf: the defender at its normal
+  // The idle-window skip's home turf: the defender at its normal
   // 100 ms period plus the light rest-bus replay keeps the 50 kbit/s bus
   // ~85% recessive — the typical idle-heavy shape of a real vehicle bus.
   ExperimentSpec spec;

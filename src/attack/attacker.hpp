@@ -120,7 +120,7 @@ class Attacker : public AttackerNode {
 
  private:
   void pump(sim::BitTime now);
-  /// Scheduling companion to pump() for the quiescence-skipping kernel.
+  /// Scheduling companion to pump() for the batch-window engine.
   [[nodiscard]] sim::BitTime pump_next(sim::BitTime now) const;
 
   AttackerConfig cfg_;

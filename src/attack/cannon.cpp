@@ -19,18 +19,28 @@ void CannonAttacker::end_frame() {
   cnt_sof_ = 0;
 }
 
-sim::BitTime CannonAttacker::next_activity(sim::BitTime /*now*/) const {
+can::CanNode::DrivePattern CannonAttacker::drive_pattern(
+    sim::BitTime /*now*/) {
   // Purely reactive SOF-watcher while idle; mid-frame every bit matters.
-  return in_frame_ ? can::kAlways : can::kNever;
+  if (in_frame_) return {};
+  return {can::kNever, ~0ull};
 }
 
-void CannonAttacker::on_idle_skip(sim::BitTime count) {
+sim::BitTime CannonAttacker::transparent_bits(sim::BitTime /*now*/,
+                                              std::uint64_t word,
+                                              sim::BitTime count) {
+  // A dominant bit either opens a frame or resets the SOF counter.
+  return can::recessive_prefix(word, count);
+}
+
+void CannonAttacker::on_bus_word(sim::BitTime now, std::uint64_t /*word*/,
+                                 sim::BitTime count) {
   // Idle recessive bits only grow the SOF counter; saturate above the
   // >= 11 eligibility threshold.
   constexpr int kSofCap = 1 << 20;
   cnt_sof_ = static_cast<int>(std::min<sim::BitTime>(
       static_cast<sim::BitTime>(cnt_sof_) + count, kSofCap));
-  now_ += count;
+  now_ = now + count - 1;
 }
 
 void CannonAttacker::on_bus_bit(BitLevel bus) {

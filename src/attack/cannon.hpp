@@ -43,8 +43,12 @@ class CannonAttacker final : public can::CanNode {
   [[nodiscard]] sim::BitLevel tx_level() override;
   void on_bus_bit(sim::BitLevel bus) override;
   void tick(sim::BitTime now) override { now_ = now; }
-  [[nodiscard]] sim::BitTime next_activity(sim::BitTime now) const override;
-  void on_idle_skip(sim::BitTime count) override;
+  [[nodiscard]] DrivePattern drive_pattern(sim::BitTime now) override;
+  [[nodiscard]] sim::BitTime transparent_bits(sim::BitTime now,
+                                              std::uint64_t word,
+                                              sim::BitTime count) override;
+  void on_bus_word(sim::BitTime now, std::uint64_t word,
+                   sim::BitTime count) override;
   [[nodiscard]] std::string_view name() const override { return name_; }
 
   [[nodiscard]] int hits() const noexcept { return hits_; }

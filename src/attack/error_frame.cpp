@@ -8,19 +8,29 @@ sim::BitLevel ErrorFrameAttacker::tx_level() {
   return stomp_left_ > 0 ? sim::BitLevel::Dominant : sim::BitLevel::Recessive;
 }
 
-sim::BitTime ErrorFrameAttacker::next_activity(sim::BitTime /*now*/) const {
+can::CanNode::DrivePattern ErrorFrameAttacker::drive_pattern(
+    sim::BitTime /*now*/) {
   // Purely reactive: while idle it only watches for a SOF edge someone else
   // must create; mid-frame (or mid-stomp) it needs every bit.
-  return (in_frame_ || stomp_left_ > 0) ? can::kAlways : can::kNever;
+  if (in_frame_ || stomp_left_ > 0) return {};
+  return {can::kNever, ~0ull};
 }
 
-void ErrorFrameAttacker::on_idle_skip(sim::BitTime count) {
+sim::BitTime ErrorFrameAttacker::transparent_bits(sim::BitTime /*now*/,
+                                                  std::uint64_t word,
+                                                  sim::BitTime count) {
+  // A dominant bit either opens a frame or resets the recessive run.
+  return can::recessive_prefix(word, count);
+}
+
+void ErrorFrameAttacker::on_bus_word(sim::BitTime now, std::uint64_t /*word*/,
+                                     sim::BitTime count) {
   // Idle recessive bits only grow the run; saturate above the >= 11
   // SOF-eligibility threshold.
   constexpr int kRunCap = 1 << 20;
   recessive_run_ = static_cast<int>(std::min<sim::BitTime>(
       static_cast<sim::BitTime>(recessive_run_) + count, kRunCap));
-  now_ += count;
+  now_ = now + count - 1;
 }
 
 void ErrorFrameAttacker::on_bus_bit(sim::BitLevel bus) {

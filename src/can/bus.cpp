@@ -1,7 +1,6 @@
 #include "can/bus.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -10,15 +9,6 @@
 
 namespace mcan::can {
 namespace {
-
-/// The bus must have been recessive this long before a skip is attempted:
-/// an interframe space has elapsed, so every compliant controller is in
-/// Idle/Suspend/BusOff territory rather than mid-frame.
-constexpr sim::BitTime kMinIdleForSkip = 6;
-
-/// After a horizon probe fails (some node says kAlways), wait roughly one
-/// interframe-plus-SOF worth of bits before probing again.
-constexpr sim::BitTime kProbeBackoff = 11;
 
 /// Smallest window worth committing as a word: below this the probe
 /// overhead (three virtual calls per node) beats the per-bit savings.
@@ -48,7 +38,6 @@ void WiredAndBus::step() {
   trace_.sample(level);
   const auto previous = last_;
   last_ = level;
-  idle_run_ = sim::is_recessive(level) ? idle_run_ + 1 : 0;
 
   if (injector_ != nullptr && injector_->has_skew()) {
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -62,56 +51,9 @@ void WiredAndBus::step() {
   ++now_;
 }
 
-sim::BitTime WiredAndBus::quiescent_horizon() const {
-  sim::BitTime horizon = kNever;
-  for (const auto* n : nodes_) {
-    const sim::BitTime t = n->next_activity(now_);
-    if (t <= now_) return now_;  // opted out — cannot skip
-    horizon = std::min(horizon, t);
-  }
-  if (injector_ != nullptr) {
-    const sim::BitTime t = injector_->next_disturbance(now_);
-    if (t <= now_) return now_;
-    horizon = std::min(horizon, t);
-  }
-  return horizon;
-}
-
-void WiredAndBus::skip_to(sim::BitTime horizon) {
-  // Contract check: a skip is only legal when nobody is driving dominant
-  // right now.  A node that promised quiescence but holds the bus dominant
-  // has a stale next_activity() — fail loudly instead of corrupting time.
-  for (auto* n : nodes_) {
-    if (!sim::is_recessive(n->tx_level())) {
-      throw std::logic_error{
-          "quiescence contract violation: node '" + std::string{n->name()} +
-          "' drives dominant inside its promised idle window"};
-    }
-  }
-  const sim::BitTime count = horizon - now_;
-  for (auto* n : nodes_) n->on_idle_skip(count);
-  // Re-check after the bulk advance: a node whose clock now sits at the
-  // horizon but wants the bus is holding a *stale* promise — its dominant
-  // edge fell inside the window we just declared recessive.
-  for (auto* n : nodes_) {
-    if (!sim::is_recessive(n->tx_level())) {
-      throw std::logic_error{
-          "quiescence contract violation: node '" + std::string{n->name()} +
-          "' reports a stale next_activity(): it wants the bus before the "
-          "promised horizon"};
-    }
-  }
-  if (injector_ != nullptr) injector_->on_idle_skip(count);
-  trace_.sample_run(sim::BitLevel::Recessive, count);
-  last_ = sim::BitLevel::Recessive;
-  idle_run_ += count;
-  bits_skipped_ += count;
-  now_ = horizon;
-}
-
 bool WiredAndBus::batch_step(sim::BitTime end) {
   if (nodes_.empty()) return false;
-  sim::BitTime count = std::min<sim::BitTime>(64, end - now_);
+  sim::BitTime count = end - now_;
   if (injector_ != nullptr) {
     count = std::min(count, injector_->batch_horizon(now_));
   }
@@ -124,31 +66,39 @@ bool WiredAndBus::batch_step(sim::BitTime end) {
     const CanNode::DrivePattern p = n->drive_pattern(now_);
     if (p.horizon == 0) return false;
     count = std::min(count, p.horizon);
-    patterns_.push_back(p.bits);
+    patterns_.push_back(p);
   }
   if (count < kMinBatch) return false;
 
   // Phase 2: resolve the wired-AND word.  Bits past the window are forced
   // recessive so pattern garbage beyond a node's horizon cannot leak into
-  // another node's transparency scan.
+  // another node's transparency scan.  Only an all-recessive window may
+  // run past 64 bits (every horizon above 64 is all recessive).
   std::uint64_t word = ~0ull;
-  for (const std::uint64_t p : patterns_) word &= p;
-  if (count < 64) word |= ~0ull << count;
+  for (const auto& p : patterns_) word &= p.bits;
+  if (count < 64) {
+    word |= ~0ull << count;
+  } else if (word != ~0ull) {
+    count = 64;
+  }
 
-  // Phase 3: every node bounds the window to its own reaction-free prefix.
-  // A prefix of a transparent prefix stays transparent, so one min pass
-  // suffices even as `count` shrinks.
+  // Phase 3: the injector and every node bound the window to their own
+  // reaction-free prefix.  A prefix of a transparent prefix stays
+  // transparent, so one min pass suffices even as `count` shrinks.
+  if (injector_ != nullptr) {
+    count = std::min(count, injector_->transparent_bits(word, count));
+    if (count < kMinBatch) return false;
+  }
   for (auto* n : nodes_) {
     count = std::min(count, n->transparent_bits(now_, word, count));
     if (count < kMinBatch) return false;
   }
 
-  // Contract check (the batch analogue of skip_to's stale-promise check):
-  // the first pattern bit must match what the node would actually drive.
+  // Contract check at the window's first bit: the pattern must match what
+  // the node actually drives.
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    const auto promised = (patterns_[i] & 1u) != 0 ? sim::BitLevel::Recessive
-                                                   : sim::BitLevel::Dominant;
-    if (nodes_[i]->tx_level() != promised) {
+    const bool recessive = (patterns_[i].bits & 1u) != 0;
+    if (sim::is_recessive(nodes_[i]->tx_level()) != recessive) {
       throw std::logic_error{
           "batch contract violation: node '" + std::string{nodes_[i]->name()} +
           "' advertises a drive_pattern() contradicting its own tx_level()"};
@@ -158,35 +108,42 @@ bool WiredAndBus::batch_step(sim::BitTime end) {
   // Commit: the window is reaction-free for every node and undisturbed by
   // the injector, so no events fire inside it and bulk application is
   // byte-identical to `count` per-bit rounds.
-  trace_.sample_word(word, count);
+  if (word == ~0ull) {
+    trace_.sample_run(sim::BitLevel::Recessive, count);
+    last_ = sim::BitLevel::Recessive;
+    bits_skipped_ += count;
+  } else {
+    trace_.sample_word(word, count);
+    last_ = ((word >> (count - 1)) & 1u) != 0 ? sim::BitLevel::Recessive
+                                              : sim::BitLevel::Dominant;
+    bits_batched_ += count;
+  }
   for (auto* n : nodes_) n->on_bus_word(now_, word, count);
   if (injector_ != nullptr) injector_->on_batch(word, count);
-
-  last_ = ((word >> (count - 1)) & 1u) != 0 ? sim::BitLevel::Recessive
-                                            : sim::BitLevel::Dominant;
-  const auto trailing = std::min<sim::BitTime>(
-      static_cast<sim::BitTime>(std::countl_one(word << (64 - count))),
-      count);
-  idle_run_ = trailing == count ? idle_run_ + count : trailing;
-  bits_batched_ += count;
-  batch_windows_ += 1;
   now_ += count;
+
+  // Contract check at the bit after the window: a node whose horizon
+  // reached past it must now drive its promised next level.  One that
+  // wants the bus dominant there holds a stale promise — its edge fell
+  // inside (or at the end of) the window just committed.
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const CanNode::DrivePattern& p = patterns_[i];
+    if (p.horizon <= count) continue;
+    const bool recessive = count >= 64 || ((p.bits >> count) & 1u) != 0;
+    if (sim::is_recessive(nodes_[i]->tx_level()) != recessive) {
+      throw std::logic_error{
+          "batch contract violation: node '" + std::string{nodes_[i]->name()} +
+          "' drives against its drive_pattern() right after a committed "
+          "window (stale promise)"};
+    }
+  }
   return true;
 }
 
 void WiredAndBus::run(sim::Bits bits) {
   const sim::BitTime end = sim::sat_add(now_, bits.value());
   while (now_ < end) {
-    if (fast_path_ && idle_run_ >= kMinIdleForSkip &&
-        now_ >= skip_retry_at_) {
-      const sim::BitTime horizon = std::min(quiescent_horizon(), end);
-      if (horizon > now_) {
-        skip_to(horizon);
-        continue;
-      }
-      skip_retry_at_ = now_ + kProbeBackoff;
-    }
-    if (batching_ && now_ >= batch_retry_at_) {
+    if (fast_path_ && now_ >= batch_retry_at_) {
       if (batch_step(end)) continue;
       batch_retry_at_ = now_ + kBatchBackoff;
     }

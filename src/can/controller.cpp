@@ -73,8 +73,7 @@ void BitController::tick(BitTime now) {
   // when the bus runs a contract-based engine: the naive per-bit tier stays
   // a contract-free oracle that dispatches every hook every bit, so the
   // differential harness would catch a hook whose promise lies.
-  const bool trust =
-      bus_ != nullptr && (bus_->fast_path() || bus_->batching());
+  const bool trust = bus_ != nullptr && bus_->fast_path();
   if (trust && now < apps_due_) return;
   BitTime min_due = kNever;
   for (auto& app : apps_) {
@@ -93,100 +92,8 @@ void BitController::tick(BitTime now) {
   apps_due_ = min_due;
 }
 
-BitTime BitController::next_activity(BitTime now) const {
-  // Application hooks run every tick: a hook without a scheduling companion
-  // could enqueue at any bit, so it pins the controller to kAlways.
-  BitTime app_next = kNever;
-  if (apps_due_ > now) {
-    app_next = apps_due_;  // min cached due; see drive_pattern()
-  } else {
-    for (const auto& app : apps_) {
-      if (!app.next) return kAlways;
-      const BitTime t = app.sticky ? app.cached_due : app.next(now);
-      if (t <= now) return kAlways;
-      app_next = std::min(app_next, t);
-    }
-  }
-  switch (phase_) {
-    case Phase::Idle:
-    case Phase::Integrating:
-    case Phase::Intermission:
-    case Phase::Suspend:
-      // A queued frame starts transmitting as soon as the current phase
-      // allows — give no quiescence promise rather than model exactly when.
-      if (!txq_.empty()) return kAlways;
-      return app_next;
-    case Phase::BusOff: {
-      if (!cfg_.auto_recover) return app_next;
-      // Recovery completes (and logs) after `remaining` further recessive
-      // bits; keep that bit itself on the stepped path so the events carry
-      // their exact timestamps.
-      const BitTime remaining =
-          static_cast<BitTime>(128 - busoff_idle_seqs_) * 11 -
-          static_cast<BitTime>(busoff_recessive_run_);
-      if (remaining <= 1) return kAlways;
-      return std::min(app_next, now + remaining - 1);
-    }
-    case Phase::Transmit:
-    case Phase::Receive:
-    case Phase::ActiveFlag:
-    case Phase::PassiveFlag:
-    case Phase::OverloadFlag:
-    case Phase::ErrorDelim:
-      return kAlways;
-  }
-  return kAlways;
-}
-
-void BitController::on_idle_skip(BitTime count) {
-  const BitTime orig_now = now_;
-  switch (phase_) {
-    case Phase::Idle:
-      break;  // recessive bits on an idle bus change nothing
-    case Phase::Integrating: {
-      const BitTime need = static_cast<BitTime>(11 - integrate_count_);
-      if (count >= need) {
-        integrate_count_ = 0;
-        phase_ = Phase::Idle;
-      } else {
-        integrate_count_ += static_cast<int>(count);
-      }
-      break;
-    }
-    case Phase::BusOff:
-      if (cfg_.auto_recover) {
-        // next_activity capped the horizon below the recovery bit, so the
-        // bulk update can never complete the 128th sequence here.
-        const BitTime total =
-            static_cast<BitTime>(busoff_recessive_run_) + count;
-        busoff_idle_seqs_ += static_cast<int>(total / 11);
-        busoff_recessive_run_ = static_cast<int>(total % 11);
-        assert(busoff_idle_seqs_ < 128);
-      }
-      break;
-    case Phase::Intermission:
-    case Phase::Suspend:
-      // Replay bit by bit (at most ~11 iterations until Idle), advancing
-      // now_ so a SuspendStart event lands on its exact bit time.
-      for (BitTime i = 0; i < count && phase_ != Phase::Idle; ++i) {
-        now_ = orig_now + 1 + i;
-        on_bus_bit(BitLevel::Recessive);
-      }
-      break;
-    case Phase::Transmit:
-    case Phase::Receive:
-    case Phase::ActiveFlag:
-    case Phase::PassiveFlag:
-    case Phase::OverloadFlag:
-    case Phase::ErrorDelim:
-      assert(false && "on_idle_skip in a non-quiescent phase");
-      break;
-  }
-  now_ = orig_now + count;
-}
-
 // ---------------------------------------------------------------------------
-// Word-batched kernel contract
+// Batch-window contract
 //
 // The batchable phases are the long constant stretches of the protocol:
 //   Idle/Integrating  — driving recessive, reacting only to a SOF edge;
@@ -195,19 +102,22 @@ void BitController::on_idle_skip(BitTime count) {
 //                       included) up to the ACK slot;
 //   Receive           — driving recessive through the stuffed region, with
 //                       the only possible reaction being a stuff error.
-// Everything else (error/overload flags, delimiters, intermission, suspend)
-// is a handful of bits with per-bit decisions — those opt out and stay on
-// the stepped path, exactly the "contested regions" fallback of the design.
+// The recessive-only phases (Idle, Integrating, BusOff) promise horizons of
+// any length, so an idle bus is skipped as one all-recessive window; the
+// frame phases promise at most 64 bits.  Everything else (error/overload
+// flags, delimiters, intermission, suspend) is a handful of bits with
+// per-bit decisions — those opt out and stay on the stepped path, exactly
+// the "contested regions" fallback of the design.
 
 BitController::DrivePattern BitController::drive_pattern(BitTime now) {
-  // Application hooks cap every promise exactly like next_activity() does:
-  // a hook without a scheduling companion, or one due now, opts out — the
-  // stepped path runs it inside tick().
-  BitTime app_cap = 64;
+  // Application hooks cap every promise at their next due bit: a hook
+  // without a scheduling companion, or one due now, opts out — the stepped
+  // path runs it inside tick().
+  BitTime app_cap = kNever;
   if (apps_due_ > now) {
     // tick() maintains apps_due_ = min cached due; a future value proves
     // every hook is sticky and quiet, so one compare replaces the scan.
-    app_cap = std::min<BitTime>(app_cap, apps_due_ - now);
+    app_cap = apps_due_ - now;
   } else {
     for (const auto& app : apps_) {
       if (!app.next) return {};
@@ -221,16 +131,16 @@ BitController::DrivePattern BitController::drive_pattern(BitTime now) {
   switch (phase_) {
     case Phase::Idle:
     case Phase::Integrating:
-      // A queued frame starts transmitting the moment the phase allows —
-      // same opt-out as next_activity().
+      // A queued frame starts transmitting as soon as the phase allows —
+      // give no promise rather than model exactly when.
       if (!txq_.empty()) return {};
       return {app_cap, kAllRecessive};
 
     case Phase::BusOff: {
       if (!cfg_.auto_recover) return {app_cap, kAllRecessive};
       // Keep the recovery-completing bit on the stepped path so its events
-      // carry exact timestamps (mirrors next_activity()).  Dominant bus bits
-      // only delay recovery, so the cap is conservative either way.
+      // carry exact timestamps.  Dominant bus bits only delay recovery, so
+      // the cap is conservative either way.
       const BitTime remaining =
           static_cast<BitTime>(128 - busoff_idle_seqs_) * 11 -
           static_cast<BitTime>(busoff_recessive_run_);
@@ -247,7 +157,7 @@ BitController::DrivePattern BitController::drive_pattern(BitTime now) {
       const std::size_t limit =
           txpos_ <= tx_ack_pos_ ? tx_ack_pos_ : txbits_.size();
       const BitTime n = std::min(
-          app_cap, static_cast<BitTime>(limit - txpos_));
+          {app_cap, BitTime{64}, static_cast<BitTime>(limit - txpos_)});
       if (n == 0) return {};
       const std::size_t w = txpos_ / 64;
       const unsigned off = static_cast<unsigned>(txpos_ % 64);
@@ -273,7 +183,8 @@ BitController::DrivePattern BitController::drive_pattern(BitTime now) {
                              : stuffed_region_length(0, /*rtr=*/true, rx_.ext);
       const int remaining = region - static_cast<int>(rx_.bits.size());
       if (remaining <= 0) return {};
-      return {std::min(app_cap, static_cast<BitTime>(remaining)),
+      return {std::min({app_cap, BitTime{64},
+                        static_cast<BitTime>(remaining)}),
               kAllRecessive};
     }
 
@@ -295,7 +206,7 @@ BitTime BitController::transparent_bits(BitTime now, std::uint64_t word,
     case Phase::Integrating:
       // The first dominant bit is (or may become, via Integrating -> Idle)
       // a SOF reaction; everything before it is pure recessive bookkeeping.
-      return std::min(static_cast<BitTime>(std::countr_one(word)), count);
+      return recessive_prefix(word, count);
 
     case Phase::BusOff:
       // Recovery counting is state-only: no drive change, no events, and
@@ -375,8 +286,8 @@ void BitController::on_bus_word(BitTime now, std::uint64_t word,
       break;  // an all-recessive window on an idle bus changes nothing
 
     case Phase::Integrating: {
-      // Transparency stopped the window before any dominant bit, so this is
-      // exactly on_idle_skip()'s Integrating bookkeeping.
+      // Transparency stopped the window before any dominant bit: `count`
+      // recessive bits toward the 11 that complete integration.
       const BitTime need = static_cast<BitTime>(11 - integrate_count_);
       if (count >= need) {
         integrate_count_ = 0;
@@ -388,7 +299,14 @@ void BitController::on_bus_word(BitTime now, std::uint64_t word,
     }
 
     case Phase::BusOff:
-      if (cfg_.auto_recover) {
+      if (!cfg_.auto_recover) break;
+      if (word == ~0ull) {
+        // Closed form for an all-recessive window (of any length).
+        const BitTime total =
+            static_cast<BitTime>(busoff_recessive_run_) + count;
+        busoff_idle_seqs_ += static_cast<int>(total / 11);
+        busoff_recessive_run_ = static_cast<int>(total % 11);
+      } else {
         for (BitTime i = 0; i < count; ++i) {
           if (((word >> i) & 1u) != 0) {
             if (++busoff_recessive_run_ == 11) {
@@ -399,9 +317,9 @@ void BitController::on_bus_word(BitTime now, std::uint64_t word,
             busoff_recessive_run_ = 0;
           }
         }
-        // drive_pattern() capped the window below the recovery bit.
-        assert(busoff_idle_seqs_ < 128);
       }
+      // drive_pattern() capped the window below the recovery bit.
+      assert(busoff_idle_seqs_ < 128);
       break;
 
     case Phase::Transmit:

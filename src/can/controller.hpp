@@ -76,8 +76,8 @@ class BitController : public CanNode {
   /// Tell the controller which bus it rides on without registering it as a
   /// node — the composite-node analogue of attach_to()'s back-pointer.  The
   /// pointer gates the sticky-hook cache: promises are only trusted when
-  /// the bus runs a contract-based engine (fast path or batching), so the
-  /// naive tier stays a contract-free oracle.
+  /// the bus runs the batch-window engine (fast path), so the naive tier
+  /// stays a contract-free oracle.
   void set_bus(const WiredAndBus* bus) noexcept { bus_ = bus; }
 
   /// Queue a frame for transmission.  Returns false (and counts a drop)
@@ -90,8 +90,8 @@ class BitController : public CanNode {
 
   /// Like add_app, with a scheduling companion: `next(now)` returns the
   /// earliest future bit at which the hook may do anything (enqueue a frame,
-  /// mutate state).  Hooks registered without one pin the controller to
-  /// kAlways — the quiescence-skipping kernel then never skips past it.
+  /// mutate state).  Hooks registered without one opt the controller out
+  /// of every batch window, so the engine steps it bit by bit.
   ///
   /// `sticky_next` opts into a stronger promise: the companion's answer can
   /// only change when the hook itself runs.  The controller then caches the
@@ -140,8 +140,6 @@ class BitController : public CanNode {
   void tick(sim::BitTime now) override;
   [[nodiscard]] sim::BitLevel tx_level() override { return drive_; }
   void on_bus_bit(sim::BitLevel bus) override;
-  [[nodiscard]] sim::BitTime next_activity(sim::BitTime now) const override;
-  void on_idle_skip(sim::BitTime count) override;
   [[nodiscard]] DrivePattern drive_pattern(sim::BitTime now) override;
   [[nodiscard]] sim::BitTime transparent_bits(sim::BitTime now,
                                               std::uint64_t word,
@@ -263,8 +261,9 @@ class BitController : public CanNode {
   int busoff_recessive_run_{0};
   int busoff_idle_seqs_{0};
 
-  /// Application hook plus its optional scheduling companion (next_activity
-  /// contribution); a null `next` opts the whole controller out of skipping.
+  /// Application hook plus its optional scheduling companion (it caps
+  /// drive_pattern()'s horizon); a null `next` opts the whole controller
+  /// out of batching.
   /// For sticky companions `cached_due` holds next(now) as of the hook's
   /// last run (0 = due / never ran); non-sticky hooks keep it pinned at 0
   /// so they run every tick and are re-queried every probe.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "can/node.hpp"
 #include "obs/metrics.hpp"
 
 namespace mcan::can {
@@ -132,7 +133,7 @@ void FaultInjector::track(sim::BitLevel out) {
       pos_ = 0;
       ++frames_seen_;
     }
-    // Saturate like on_idle_skip() does: only the >= 11 threshold matters,
+    // Saturate like on_batch() does: only the >= 11 threshold matters,
     // and an unbounded per-bit increment would overflow the int on
     // soak-length idle stretches.
     constexpr int kRunCap = 1 << 20;
@@ -149,64 +150,12 @@ void FaultInjector::track(sim::BitLevel out) {
   }
 }
 
-sim::BitTime FaultInjector::next_disturbance(sim::BitTime now) const {
-  // Mid-frame (per the wire tracker) every bit moves pos_, which scheduled
-  // flips key off, and every bit drifts skewed sample points — both are
-  // per-bit effects a skip cannot replay, so refuse until the tracker sees
-  // the frame end.
-  if (in_frame_ && (!spec_.flips.empty() || has_skew())) return now;
-  sim::BitTime horizon = std::numeric_limits<sim::BitTime>::max();
-  if (spec_.bit_error_rate > 0.0) {
-    // The pending geometric gap counts transform() calls until the flip
-    // fires: it lands exactly at now + next_flip_gap_ (saturating: a tiny
-    // BER can draw gaps that would wrap the clock on soak-length runs).
-    horizon = std::min(horizon, sim::sat_add(now, next_flip_gap_));
-  }
-  for (const auto& w : spec_.stuck) {
-    if (w.len == 0 || now >= w.start + w.len) continue;
-    // Inside a window this yields `now` (stuck_bits counts per bit);
-    // otherwise the window's first bit bounds the skip.
-    horizon = std::min(horizon, std::max(w.start, now));
-  }
-  return horizon;
-}
-
-void FaultInjector::on_idle_skip(sim::BitTime count) {
-  // Replay the frame-exit tail bit by bit: at most 11 recessive bits until
-  // the tracker leaves the frame (only reachable with no flips/skews, per
-  // next_disturbance).
-  sim::BitTime replayed = 0;
-  while (in_frame_ && replayed < count) {
-    track(sim::BitLevel::Recessive);
-    ++replayed;
-  }
-  const sim::BitTime rest = count - replayed;
-  if (rest > 0) {
-    // Idle recessive bits only grow the run; saturate well above the 11
-    // SOF-eligibility threshold to keep the int in range.
-    constexpr int kRunCap = 1 << 20;
-    recessive_run_ = static_cast<int>(std::min<sim::BitTime>(
-        static_cast<sim::BitTime>(recessive_run_) + rest, kRunCap));
-  }
-  // The skip horizon never exceeds the pending flip position, so the gap
-  // cannot underflow.
-  if (spec_.bit_error_rate > 0.0) next_flip_gap_ -= count;
-  // Per idle bit deliver() resets each skewed node's phase; count resets
-  // collapse to one.
-  for (auto& st : skew_) {
-    if (st.configured) {
-      st.phase = 0.0;
-      st.slipping = false;
-    }
-  }
-}
-
 sim::BitTime FaultInjector::batch_horizon(sim::BitTime now) const {
-  // Scheduled flips fire at exact wire positions and skew drifts per bit:
-  // both need every transform()/deliver() call, so they veto batching for
-  // the whole run (the bus then steps bit by bit whenever a frame is live,
-  // which is the only time either can fire).
-  if (!spec_.flips.empty() || has_skew()) return 0;
+  // Mid-frame (per the wire tracker) every bit moves pos_, which scheduled
+  // flips key off, and every bit drifts skewed sample points — both need
+  // every transform()/deliver() call, so refuse until the tracker sees the
+  // frame end.  Outside a frame transparent_bits() keeps the window idle.
+  if (in_frame_ && (!spec_.flips.empty() || has_skew())) return 0;
   sim::BitTime horizon = std::numeric_limits<sim::BitTime>::max();
   // The pending geometric gap counts undisturbed transform() calls: batching
   // exactly `next_flip_gap_` bits leaves the flip on the next stepped bit.
@@ -219,13 +168,40 @@ sim::BitTime FaultInjector::batch_horizon(sim::BitTime now) const {
   return horizon;
 }
 
+sim::BitTime FaultInjector::transparent_bits(std::uint64_t word,
+                                             sim::BitTime count) const {
+  if (spec_.flips.empty() && !has_skew()) return count;
+  return recessive_prefix(word, count);
+}
+
 void FaultInjector::on_batch(std::uint64_t word, sim::BitTime count) {
-  for (sim::BitTime i = 0; i < count; ++i) {
-    track(((word >> i) & 1u) != 0 ? sim::BitLevel::Recessive
-                                  : sim::BitLevel::Dominant);
-  }
   // batch_horizon() capped the window at the gap, so this cannot underflow.
   if (spec_.bit_error_rate > 0.0) next_flip_gap_ -= count;
+  if (word != ~0ull) {
+    for (sim::BitTime i = 0; i < count; ++i) {
+      track(((word >> i) & 1u) != 0 ? sim::BitLevel::Recessive
+                                    : sim::BitLevel::Dominant);
+    }
+  } else {
+    // All recessive, of any length.  Replay the frame-exit tail bit by bit:
+    // at most 11 recessive bits until the tracker leaves the frame (only
+    // reachable with no flips/skews, per batch_horizon()).
+    sim::BitTime replayed = 0;
+    while (in_frame_ && replayed < count) {
+      track(sim::BitLevel::Recessive);
+      ++replayed;
+    }
+    // Idle recessive bits only grow the run; saturate well above the 11
+    // SOF-eligibility threshold to keep the int in range.
+    constexpr int kRunCap = 1 << 20;
+    const sim::BitTime rest = count - replayed;
+    recessive_run_ = static_cast<int>(std::min<sim::BitTime>(
+        static_cast<sim::BitTime>(recessive_run_) + rest, kRunCap));
+  }
+  // The skew states need no update: with skew configured a window opens
+  // only outside a frame, so the bit before it already left every phase at
+  // zero (deliver() resets them outside frames), and the window's idle bits
+  // would keep them there.
 }
 
 sim::BitLevel FaultInjector::deliver(std::size_t index, std::string_view name,

@@ -150,31 +150,27 @@ class FaultInjector {
   /// per-node deliver() path entirely otherwise).
   [[nodiscard]] bool has_skew() const noexcept { return !spec_.skews.empty(); }
 
-  /// Quiescence-skipping contract (mirrors CanNode::next_activity): the
-  /// earliest bit >= now at which this injector may disturb the bus or
-  /// accumulate per-bit state that a skip could not replay.  Returns `now`
-  /// itself (= cannot skip) while inside a stuck window, or while the
-  /// frame tracker is mid-frame with scheduled flips or skews configured.
-  [[nodiscard]] sim::BitTime next_disturbance(sim::BitTime now) const;
-
-  /// Bulk-apply `count` recessive bus bits (mirrors CanNode::on_idle_skip):
-  /// advances the geometric flip gap, the frame tracker's recessive run and
-  /// the skew states exactly as `count` per-bit transform()/deliver() calls
-  /// on a recessive bus would.
-  void on_idle_skip(sim::BitTime count);
-
-  /// Word-batched kernel contract: the number of bits from `now` the
-  /// injector guarantees to leave undisturbed (so the bus may resolve them
-  /// as one word).  0 = cannot batch here.  Scheduled flips and sample-point
-  /// skew disable batching outright (both key off per-bit wire positions);
-  /// a pending BER flip and upcoming stuck windows merely cap the window.
+  /// Batch-window contract: the number of bits from `now` the injector
+  /// guarantees to leave undisturbed (so the bus may resolve them as one
+  /// window).  0 = cannot batch here.  Scheduled flips and sample-point
+  /// skew key off per-bit wire positions, so both veto every window while
+  /// the frame tracker is inside a frame; a pending BER flip and upcoming
+  /// stuck windows merely cap the window.
   [[nodiscard]] sim::BitTime batch_horizon(sim::BitTime now) const;
 
+  /// Transparent prefix of the resolved `word` (mirrors
+  /// CanNode::transparent_bits): with scheduled flips or skew configured
+  /// the window stops before its first dominant bit, which may open a
+  /// frame; otherwise all `count` bits pass.
+  [[nodiscard]] sim::BitTime transparent_bits(std::uint64_t word,
+                                              sim::BitTime count) const;
+
   /// Bulk-apply `count` resolved bus bits (LSB-first in `word`, 1 =
-  /// recessive; mirrors CanNode::on_bus_word): replays the frame tracker
-  /// over the exact levels and advances the geometric flip gap as `count`
-  /// undisturbed transform() calls would.  Only valid within a window
-  /// batch_horizon() allowed.
+  /// recessive; mirrors CanNode::on_bus_word): leaves the frame tracker,
+  /// the geometric flip gap and the skew states exactly as `count`
+  /// undisturbed transform()/deliver() calls would.  Only valid within a
+  /// window batch_horizon() and transparent_bits() allowed; count > 64
+  /// only for an all-recessive word.
   void on_batch(std::uint64_t word, sim::BitTime count);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }

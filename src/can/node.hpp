@@ -1,6 +1,8 @@
 // Interface between the wired-AND bus and anything attached to it.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -10,13 +12,13 @@
 
 namespace mcan::can {
 
-/// next_activity() sentinel: the node cannot promise any quiescent window —
-/// the bus must keep stepping it bit by bit.  Any return value <= now means
-/// the same thing, so 0 is the universal "opt out".
+/// Due-time sentinel for application-hook scheduling companions
+/// (BitController::add_app): the hook is due now.  Any return value <= now
+/// means the same thing, so 0 is the universal "due".
 inline constexpr sim::BitTime kAlways = 0;
 
-/// next_activity() sentinel: the node is purely reactive — it never drives a
-/// dominant level or changes state on its own while the bus stays recessive.
+/// Horizon sentinel: never.  As a hook due time the hook never fires again;
+/// as a DrivePattern horizon the node drives recessive indefinitely.
 inline constexpr sim::BitTime kNever =
     std::numeric_limits<sim::BitTime>::max();
 
@@ -39,32 +41,11 @@ class CanNode {
   /// Resolved bus level for the current bit time (the sample).
   virtual void on_bus_bit(sim::BitLevel bus) = 0;
 
-  /// Scheduling contract for the quiescence-skipping kernel.  Returns the
-  /// earliest future bit T > now at which this node may drive a dominant
-  /// level, run application logic, or change observable state — PROVIDED the
-  /// bus stays recessive for all of [now, T).  Returning kAlways (or any
-  /// value <= now) opts the node out of skipping; kNever marks a purely
-  /// reactive node.  When every attached node returns T > now, the bus may
-  /// replace the per-bit stepping of [now, min T) with a single
-  /// on_idle_skip() call, so the promise must be exact: a node whose
-  /// tx_level() would have gone dominant before its advertised T violates
-  /// the contract (the bus detects this and throws).
-  [[nodiscard]] virtual sim::BitTime next_activity(
-      sim::BitTime /*now*/) const {
-    return kAlways;
-  }
-
-  /// Bulk-apply `count` recessive bus bits.  Must leave the node in exactly
-  /// the state that `count` consecutive tick()/tx_level()/on_bus_bit(
-  /// Recessive) rounds would have — including every metrics-visible counter.
-  /// Only called when next_activity() promised quiescence over the window.
-  virtual void on_idle_skip(sim::BitTime /*count*/) {}
-
-  // -- Word-batched kernel contract (the third engine tier) ----------------
+  // -- Batch-window contract (the engine tier above naive stepping) -------
   //
-  // The batched kernel asks every node three questions per window:
-  //   1. drive_pattern(now): which levels will you drive for the next up-to-
-  //      64 bits, assuming you react to nothing in that window?
+  // The engine asks every node three questions per window:
+  //   1. drive_pattern(now): which levels will you drive over the next
+  //      bits, assuming you react to nothing in that window?
   //   2. transparent_bits(now, word, count): given the resolved bus word,
   //      how many leading bits pass without provoking ANY reaction from you
   //      (no drive change, no event, no error, no state fork)?
@@ -73,23 +54,34 @@ class CanNode {
   // nodes; everything after that boundary is stepped bit by bit.  A node
   // that cannot answer cheaply opts out by returning horizon 0, which makes
   // the bus fall back to per-bit stepping for this window.
+  //
+  // A window whose resolved word is all recessive (~0ull) may be longer
+  // than 64 bits: that is how an idle bus is skipped.  Only such a window
+  // reaches transparent_bits()/on_bus_word() with count > 64; bit i of
+  // `word` then reads recessive for every i.
 
-  /// Up-to-64-bit drive promise for the batched kernel.
+  /// Drive promise for a batch window.
   struct DrivePattern {
     /// Number of bits promised (0 = opt out of batching at `now`).  The bus
-    /// clamps the window to the smallest horizon across nodes, never > 64.
+    /// clamps the window to the smallest horizon across nodes.  A horizon
+    /// above 64 is only allowed for a node that drives recessive over all
+    /// of it (`bits` == ~0ull); the bus clamps any window whose resolved
+    /// word has a dominant bit to 64.
     sim::BitTime horizon{0};
-    /// Levels driven for bits [now, now + horizon), LSB-first: bit i of
-    /// `bits` is to_bit() of the level driven at now + i (1 = recessive).
+    /// Levels driven for bits [now, now + min(horizon, 64)), LSB-first: bit
+    /// i of `bits` is to_bit() of the level driven at now + i (1 =
+    /// recessive).
     std::uint64_t bits{~0ull};
   };
 
   /// Levels this node will drive for the next `horizon` bits starting at
   /// `now` (the bit tx_level() is about to be called for), PROVIDED nothing
   /// on the bus makes it react earlier — transparent_bits() is what bounds
-  /// the window to the reaction-free prefix afterwards.  Bit 0 of the
-  /// pattern MUST equal the level tx_level() would return now (the bus
-  /// enforces this and throws on a mismatch).  Default: opt out.
+  /// the window to the reaction-free prefix afterwards.  The bus enforces
+  /// the promise at both ends of a window and throws std::logic_error on a
+  /// mismatch: bit 0 MUST equal the level tx_level() returns now, and when
+  /// the horizon reaches past the committed window, tx_level() after
+  /// on_bus_word() MUST equal the promised next bit.  Default: opt out.
   [[nodiscard]] virtual DrivePattern drive_pattern(sim::BitTime /*now*/) {
     return {};
   }
@@ -101,7 +93,7 @@ class CanNode {
   /// activity, no decision that would alter a later bit.  The returned
   /// value may be 0 (react immediately -> per-bit fallback) and must be
   /// <= count.  Only called after drive_pattern() returned a non-zero
-  /// horizon >= count.
+  /// horizon >= count; count > 64 only for an all-recessive word.
   [[nodiscard]] virtual sim::BitTime transparent_bits(
       sim::BitTime /*now*/, std::uint64_t /*word*/, sim::BitTime /*count*/) {
     return 0;
@@ -117,5 +109,15 @@ class CanNode {
 
   [[nodiscard]] virtual std::string_view name() const = 0;
 };
+
+/// Length of the all-recessive prefix of a window's resolved `word`, at
+/// most `count` (any length for an all-recessive word) — the transparent
+/// prefix of a node that reacts to the first dominant bit, as a
+/// SOF-watcher does.
+[[nodiscard]] inline sim::BitTime recessive_prefix(std::uint64_t word,
+                                                   sim::BitTime count) {
+  if (word == ~0ull) return count;
+  return std::min(static_cast<sim::BitTime>(std::countr_one(word)), count);
+}
 
 }  // namespace mcan::can

@@ -47,7 +47,7 @@ void attach_periodic(BitController& ctrl, const CanFrame& frame,
                      double period_bits, double phase_bits, PayloadMode mode,
                      sim::Rng rng) {
   // Shared between the tick hook and its scheduling companion so the
-  // quiescence-skipping kernel sees the sender's live next_due_.
+  // batch-window engine sees the sender's live next_due_.
   auto sender = std::make_shared<PeriodicSender>(frame, period_bits,
                                                  phase_bits, mode, rng);
   // Sticky: next_due_ only moves inside operator(), so the controller may

@@ -31,8 +31,8 @@ class PeriodicSender {
 
   void operator()(sim::BitTime now, BitController& ctrl);
 
-  /// Scheduling companion for the quiescence-skipping kernel: the first
-  /// integer bit time at which operator() would fire (kAlways if due now).
+  /// Scheduling companion for the batch-window engine: the first integer
+  /// bit time at which operator() would fire (kAlways if due now).
   [[nodiscard]] sim::BitTime next_activity(sim::BitTime now) const;
 
   [[nodiscard]] std::uint64_t cycles() const noexcept { return cycles_; }

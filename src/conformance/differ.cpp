@@ -31,10 +31,9 @@ struct SimRun {
   sim::BitTime end{};
 };
 
-SimRun execute(const FuzzCase& c, bool fast_path, bool batching) {
+SimRun execute(const FuzzCase& c, bool fast_path) {
   can::WiredAndBus bus;
   bus.set_fast_path(fast_path);
-  bus.set_batching(batching);
 
   std::vector<std::unique_ptr<can::BitController>> senders;
   senders.reserve(c.nodes.size());
@@ -367,19 +366,12 @@ std::optional<std::string> check_noisy(const FuzzCase& c, const SimRun& run) {
 
 CaseOutcome run_case(const FuzzCase& c) {
   CaseOutcome out;
-  // Three engine tiers, compared pairwise against the naive reference: the
-  // batched word engine, the quiescence fast path alone, and per-bit
-  // stepping.  Any pair differing is a divergence in its own right.
-  const auto batched = execute(c, /*fast_path=*/true, /*batching=*/true);
-  const auto fast = execute(c, /*fast_path=*/true, /*batching=*/false);
-  const auto naive = execute(c, /*fast_path=*/false, /*batching=*/false);
+  // Both engine tiers: the batch-window engine against the naive per-bit
+  // reference.
+  const auto batched = execute(c, /*fast_path=*/true);
+  const auto naive = execute(c, /*fast_path=*/false);
 
   if (auto d = compare_kernels(batched, naive, "batched")) {
-    out.diverged = true;
-    out.divergence = std::move(*d);
-    return out;
-  }
-  if (auto d = compare_kernels(fast, naive, "fast-path")) {
     out.diverged = true;
     out.divergence = std::move(*d);
     return out;

@@ -1,8 +1,8 @@
 // The differential harness: run a FuzzCase through the real simulator under
-// all three engine tiers — batched (word engine + fast path), quiescence
-// (fast path alone) and naive per-bit — require the recordings to be
-// byte-identical pairwise, then cross-check the run against the independent
-// oracle (conformance/oracle.hpp) at whatever depth the case kind allows:
+// both engine tiers — the batch-window engine (fast path) and naive per-bit
+// stepping — require the recordings to be byte-identical, then cross-check
+// the run against the independent oracle (conformance/oracle.hpp) at
+// whatever depth the case kind allows:
 //
 //   Clean          — full bit-for-bit wire check: every SOF window must
 //                    decode to the predicted frame with the predicted stuff

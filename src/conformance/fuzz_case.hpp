@@ -29,8 +29,7 @@ enum class CaseKind : std::uint8_t {
   Noisy = 2,
   /// Clean bus shaped for the word-level batch engine: more nodes, fuller
   /// queues, large DLCs — long mid-frame transparent horizons.  Checked at
-  /// the full Clean oracle tier, with the batched engine explicitly in the
-  /// three-way (batched / quiescence / naive) identity comparison.
+  /// the full Clean oracle tier plus the batched/naive identity comparison.
   Batched = 3,
 };
 

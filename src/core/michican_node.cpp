@@ -49,21 +49,6 @@ void MichiCanNode::on_bus_bit(sim::BitLevel bus) {
   }
 }
 
-sim::BitTime MichiCanNode::next_activity(sim::BitTime now) const {
-  // While the monitor tracks a frame (or counterattacks) its per-bit
-  // handler has real work each bit — no quiescence promise possible.
-  if (cfg_.defense_enabled && !monitor_.quiescent()) return can::kAlways;
-  return ctrl_.next_activity(now);
-}
-
-void MichiCanNode::on_idle_skip(sim::BitTime count) {
-  // pio_.latch_rx(Recessive) x count collapses to its current state: the
-  // bus was already recessive on the last stepped bit.
-  ctrl_.on_idle_skip(count);
-  if (cfg_.defense_enabled) monitor_.on_idle_bits(count);
-  now_ += count;
-}
-
 can::CanNode::DrivePattern MichiCanNode::drive_pattern(sim::BitTime now) {
   DrivePattern p = ctrl_.drive_pattern(now);
   if (!cfg_.defense_enabled || p.horizon == 0) return p;
@@ -87,9 +72,10 @@ sim::BitTime MichiCanNode::transparent_bits(sim::BitTime now,
 void MichiCanNode::on_bus_word(sim::BitTime now, std::uint64_t word,
                                sim::BitTime count) {
   // Per-bit stepping would latch every window level into the PIO read
-  // register; only the last one survives.
-  pio_.latch_rx(((word >> (count - 1)) & 1u) != 0 ? sim::BitLevel::Recessive
-                                                  : sim::BitLevel::Dominant);
+  // register; only the last one survives (recessive in a long idle window).
+  pio_.latch_rx(count > 64 || ((word >> (count - 1)) & 1u) != 0
+                    ? sim::BitLevel::Recessive
+                    : sim::BitLevel::Dominant);
   ctrl_.on_bus_word(now, word, count);
   if (cfg_.defense_enabled) monitor_.on_bus_word(now, word, count);
   now_ = now + count - 1;

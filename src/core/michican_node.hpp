@@ -48,8 +48,6 @@ class MichiCanNode : public can::CanNode {
   void tick(sim::BitTime now) override;
   [[nodiscard]] sim::BitLevel tx_level() override;
   void on_bus_bit(sim::BitLevel bus) override;
-  [[nodiscard]] sim::BitTime next_activity(sim::BitTime now) const override;
-  void on_idle_skip(sim::BitTime count) override;
   [[nodiscard]] DrivePattern drive_pattern(sim::BitTime now) override;
   [[nodiscard]] sim::BitTime transparent_bits(sim::BitTime now,
                                               std::uint64_t word,

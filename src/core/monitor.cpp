@@ -6,6 +6,7 @@
 #include <string>
 
 #include "can/bitstream.hpp"
+#include "can/node.hpp"
 #include "obs/metrics.hpp"
 
 namespace mcan::core {
@@ -133,8 +134,6 @@ void BitMonitor::set_extended_fsm(const DetectionFsm* ext_fsm) {
     st_.ext_runner.reset();
   }
 }
-
-void BitMonitor::on_idle_bits(BitTime count) { watch_idle(st_, count); }
 
 int BitMonitor::arm_pos(const MonitorState& s) const noexcept {
   // Algorithm 1 arms at the RTR bit (pos 12).  When extended frames are
@@ -307,12 +306,18 @@ BitTime BitMonitor::absorb_word(MonitorState& s, std::uint64_t word,
 }
 
 BitTime BitMonitor::prefix_bound() const noexcept {
-  if (!st_.attacking) return 64;
-  return static_cast<BitTime>(std::max(st_.attack_bits_left - 1, 0));
+  if (st_.attacking) {
+    return static_cast<BitTime>(std::max(st_.attack_bits_left - 1, 0));
+  }
+  return st_.in_frame ? 64 : can::kNever;
 }
 
 BitTime BitMonitor::transparent_bits(BitTime now, std::uint64_t word,
                                      BitTime count) {
+  // An idle stretch while SOF-watching is pure counting (watch_idle), so
+  // on_bus_word() applies it directly, whatever its length.
+  if (!st_.in_frame && word == ~0ull) return count;
+  assert(count <= 64);
   if (scan_ == nullptr) {
     scan_ = std::make_unique<MonitorState>(st_);
   } else {
@@ -325,6 +330,10 @@ BitTime BitMonitor::transparent_bits(BitTime now, std::uint64_t word,
 }
 
 void BitMonitor::on_bus_word(BitTime now, std::uint64_t word, BitTime count) {
+  if (!st_.in_frame && word == ~0ull) {
+    watch_idle(st_, count);
+    return;
+  }
   if (scan_ != nullptr && now == scan_at_ && word == scan_word_ &&
       count == scan_len_) {
     st_ = *scan_;

@@ -107,26 +107,20 @@ class BitMonitor {
   /// read from CAN_RX via the PIO register.
   void on_bit(sim::BitTime now, sim::BitLevel value);
 
-  /// True while the monitor is SOF-watching (not tracking a frame or
-  /// counterattacking) — recessive bus bits then only grow counters, which
-  /// lets the quiescence-skipping kernel bulk-apply them.
-  [[nodiscard]] bool quiescent() const noexcept { return !st_.in_frame; }
-
-  /// Bulk-apply `count` recessive idle bits: exactly what `count` on_bit(
-  /// Recessive) calls in the SOF-watching state would do.
-  void on_idle_bits(sim::BitTime count);
-
   // -- Word-batched kernel (see can::CanNode for the contract) -------------
 
   /// Upper bound on transparent_bits() for any bus word: a running
   /// counterattack's release bit ends the prefix whatever the bus does.
   /// Lets a probe that cannot reach the batch minimum fail before the word
-  /// is resolved.
+  /// is resolved.  Unbounded (can::kNever) while SOF-watching, where
+  /// recessive bits only grow counters; 64 while tracking a frame.
   [[nodiscard]] sim::BitTime prefix_bound() const noexcept;
 
   /// Length of the longest prefix of `word` (LSB first, 1 = recessive; the
-  /// `count` <= 64 bits from `now`) the handler absorbs without reaching a
-  /// reaction bit.  The end state is kept for on_bus_word().
+  /// `count` bits from `now`, at most prefix_bound()) the handler absorbs
+  /// without reaching a reaction bit.  The end state is kept for
+  /// on_bus_word(), except for an all-recessive window while SOF-watching,
+  /// which needs no scan.
   [[nodiscard]] sim::BitTime transparent_bits(sim::BitTime now,
                                               std::uint64_t word,
                                               sim::BitTime count);

@@ -154,9 +154,9 @@ std::string to_chrome_trace(const sim::EventLog& log,
   }
 
   // Idle slices: long recessive stretches on the bus track, straight from
-  // the run-length-encoded trace.  These are the windows the
-  // quiescence-skipping kernel jumps over — but they render identically for
-  // a per-bit recording of the same bus.
+  // the run-length-encoded trace.  These are the all-recessive windows the
+  // engine skips in one step — but they render identically for a per-bit
+  // recording of the same bus.
   if (trace != nullptr && opts.idle_min_bits > 0) {
     for (const auto& r : trace->runs()) {
       if (r.level == sim::BitLevel::Recessive && r.length >= opts.idle_min_bits) {

@@ -39,8 +39,8 @@ struct TimelineOptions {
   bool counters{true};
   /// Emit "idle" slices on the bus track for recessive runs of at least
   /// `idle_min_bits` (derived from the logic-analyzer trace, so identical
-  /// whether or not the quiescence-skipping kernel produced them); 0
-  /// disables them.
+  /// whether or not the engine skipped them as one window); 0 disables
+  /// them.
   sim::BitTime idle_min_bits{64};
 };
 

@@ -41,10 +41,6 @@ void VehicleTopology::set_fast_path(bool enabled) {
   for (auto& bus : buses_) bus->set_fast_path(enabled);
 }
 
-void VehicleTopology::set_batching(bool enabled) {
-  for (auto& bus : buses_) bus->set_batching(enabled);
-}
-
 void VehicleTopology::run(sim::Bits bits) {
   if (gateways_.empty()) {
     // Degenerate single-segment topology: no chunking, so the engine

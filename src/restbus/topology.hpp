@@ -12,7 +12,7 @@
 // Within a chunk the buses cannot interact — a frame received by a gateway
 // during the chunk is parked until rx_time + latency, which provably lands
 // at or beyond the chunk boundary — so each bus runs its own engine tier
-// (naive / quiescence-skipping / word-batched) undisturbed.  Parked frames
+// (naive or batch-window) undisturbed.  Parked frames
 // are flushed to the egress controllers only at chunk starts.  Chunk
 // boundaries are derived from frame *reception times*, which the engine
 // equivalence gates guarantee to be byte-identical across tiers, so the
@@ -78,9 +78,8 @@ class VehicleTopology {
   /// Shared simulation clock (all segments advance in lockstep).
   [[nodiscard]] sim::BitTime now() const noexcept;
 
-  /// Fan the engine-tier toggles out to every segment.
+  /// Fan the engine switch out to every segment.
   void set_fast_path(bool enabled);
-  void set_batching(bool enabled);
 
   /// Co-simulate all segments for `bits` shared bit times.
   void run(sim::Bits bits);

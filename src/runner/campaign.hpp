@@ -196,13 +196,14 @@ struct CampaignReport {
   /// bits-per-second throughput figure.
   [[nodiscard]] std::uint64_t bits_simulated() const;
 
-  /// Bits covered by the quiescence-skipping kernel across every successful
-  /// task.  Runtime perf info (zero with the fast path off) — lives next to
-  /// wall clocks, never in the deterministic section.
+  /// Bits covered by windows whose resolved word is all recessive (idle-bus
+  /// skips) across every successful task.  Runtime perf info (zero with the
+  /// fast path off) — lives next to wall clocks, never in the deterministic
+  /// section.
   [[nodiscard]] std::uint64_t bits_skipped() const;
 
-  /// Bits resolved by the word-level batched engine across every successful
-  /// task (zero with batching off).  Same runtime-only status.
+  /// Bits resolved by every other window across every successful task
+  /// (zero with the fast path off).  Same runtime-only status.
   [[nodiscard]] std::uint64_t bits_batched() const;
 };
 

@@ -10,15 +10,14 @@
 //
 // Cache key = (spec content hash, derived seed, engine version):
 //   * spec hash    — fingerprint() over every semantic ExperimentSpec field
-//                    in a fixed order.  The engine-selection toggles
-//                    (fast_path, batching) and capture_timeline are
-//                    deliberately EXCLUDED: the equivalence suites
-//                    (test_fast_path, test_batch_engine, the conformance
-//                    fuzzer) enforce that they cannot change the result, so
-//                    keying on them would only split the cache.  The spec's
-//                    own `seed` field is excluded too — the campaign
-//                    overwrites it with the derived task seed, which is the
-//                    second key component.
+//                    in a fixed order.  The engine switch (fast_path)
+//                    and capture_timeline are deliberately EXCLUDED: the
+//                    equivalence suites (test_fast_path, test_batch_engine,
+//                    the conformance fuzzer) enforce that they cannot
+//                    change the result, so keying on them would only split
+//                    the cache.  The spec's own `seed` field is excluded
+//                    too — the campaign overwrites it with the derived task
+//                    seed, which is the second key component.
 //   * derived seed — sim::derive_seed(spec_root, seed); a pure function of
 //                    (base_seed, spec_index, seed).
 //   * engine       — kEngineVersion, bumped whenever simulation semantics

@@ -33,10 +33,8 @@ ArgTable shared_cli_table(CliOptions& opts) {
       .flag("--progress", "stream per-task progress to stderr",
             &opts.progress)
       .flag("--no-fast-path",
-            "pin the naive per-bit kernel (disable quiescence skipping)",
-            &opts.fast_path, false)
-      .flag("--no-batch", "disable the word-level batched bit engine",
-            &opts.batching, false);
+            "pin the naive per-bit kernel (disable the batch-window engine)",
+            &opts.fast_path, false);
   return table;
 }
 

@@ -13,11 +13,9 @@
 //                   timeline capture and write a Chrome trace-event JSON
 //                   there (plus a sibling .jsonl event dump)
 //   --progress      stream per-task progress to stderr
-//   --no-fast-path  pin the naive per-bit kernel (disable quiescence
-//                   skipping); the recording is byte-identical either way,
+//   --no-fast-path  pin the naive per-bit kernel (disable the batch-window
+//                   engine); the recording is byte-identical either way,
 //                   so this exists for bisecting and perf comparison
-//   --no-batch      disable the word-level batched bit engine (same
-//                   byte-identity guarantee and bisecting purpose)
 //
 // dispatch() is the shared subcommand front end: a driver hands it a table
 // of (name, operand summary, help line, handler) rows and gets uniform
@@ -42,10 +40,8 @@ struct CliOptions {
   std::string report_path;
   std::string trace_path;
   bool progress{false};
-  /// Quiescence-skipping kernel; --no-fast-path clears it.
+  /// Batch-window engine; --no-fast-path clears it (naive per-bit kernel).
   bool fast_path{true};
-  /// Word-level batched bit engine; --no-batch clears it.
-  bool batching{true};
 };
 
 /// Parse "A..B" or "N" into a half-open seed range.

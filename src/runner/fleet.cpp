@@ -165,7 +165,6 @@ void write_checkpoint(const FleetConfig& cfg, const CheckpointManifest& m) {
     argv_s.push_back(std::to_string(cfg.duration_ms));
   }
   if (!cfg.fast_path) argv_s.push_back("--no-fast-path");
-  if (!cfg.batching) argv_s.push_back("--no-batch");
   argv_s.push_back("--cache-dir");
   argv_s.push_back(cfg.cache_dir);
   argv_s.push_back("--summary");
@@ -210,7 +209,6 @@ CampaignConfig fleet_campaign(const FleetConfig& cfg) {
     auto spec = registry.make(name);  // throws with suggestions when unknown
     if (cfg.duration_ms > 0) spec.duration = sim::Millis{cfg.duration_ms};
     spec.fast_path = cfg.fast_path;
-    spec.batching = cfg.batching;
     cc.specs.push_back(std::move(spec));
   }
   cc.seeds = SeedRange{0, cfg.vehicles};

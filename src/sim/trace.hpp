@@ -7,9 +7,9 @@
 // queries the evaluation needs (idle-run detection, busy fraction, edge
 // positions, ASCII rendering of a window).
 //
-// Storage is run-length encoded: the quiescence-skipping kernel records a
-// multi-thousand-bit idle stretch as a single run via sample_run(), and a
-// CAN trace is naturally runs of a few bits anyway.  Every query is defined
+// Storage is run-length encoded: the engine records a multi-thousand-bit
+// idle window as a single run via sample_run(), and a CAN trace is
+// naturally runs of a few bits anyway.  Every query is defined
 // over the logical per-bit sequence, so results are byte-identical to the
 // old one-vector-entry-per-bit representation.
 #pragma once

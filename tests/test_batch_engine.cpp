@@ -1,11 +1,12 @@
-// Directed tests for the word-level batched bit engine.
+// Directed tests for the batch-window engine.
 //
-// The batched kernel commits up to 64 bits per round wherever every node's
-// contribution is a known constant pattern (transparent horizon) and no
-// fault injection lands inside the span.  These tests pin the hard edges:
-// stuff runs crossing window boundaries, arbitration decided inside a
-// window, counterattack windows, fault-injection fallback, and the
-// associativity of splitting one recording into arbitrarily sized windows.
+// The engine commits a window wherever every node's contribution is a known
+// constant pattern (transparent horizon) and no fault injection lands inside
+// the span: up to 64 bits holding a dominant level, any length of
+// all-recessive bus.  These tests pin the hard edges: stuff runs crossing
+// window boundaries, arbitration decided inside a window, counterattack
+// windows, fault-injection fallback, and the associativity of splitting one
+// recording into arbitrarily sized windows.
 //
 // Every run here doubles as contract enforcement: the bus cross-checks each
 // committed window's drive patterns against the nodes' live tx_level() and
@@ -36,7 +37,8 @@ namespace {
 /// A passive node that caps every batch window at a chosen (optionally
 /// randomized) length.  It never drives, never reacts, and is fully
 /// transparent — its only effect is to move the window boundaries, which is
-/// exactly what the associativity property needs to vary.
+/// exactly what the associativity property needs to vary.  Its pattern is
+/// all recessive, so a fixed horizon may exceed 64 bits.
 class ChokeNode final : public can::CanNode {
  public:
   /// fixed horizon when `fixed` > 0, else random in [1, 64] per probe.
@@ -48,11 +50,6 @@ class ChokeNode final : public can::CanNode {
     return sim::BitLevel::Recessive;
   }
   void on_bus_bit(sim::BitLevel /*bus*/) override {}
-  [[nodiscard]] sim::BitTime next_activity(
-      sim::BitTime /*now*/) const override {
-    return can::kNever;
-  }
-  void on_idle_skip(sim::BitTime /*count*/) override {}
   [[nodiscard]] DrivePattern drive_pattern(sim::BitTime /*now*/) override {
     return {fixed_ > 0 ? fixed_ : rng_.uniform(1, 64), ~0ull};
   }
@@ -70,6 +67,50 @@ class ChokeNode final : public can::CanNode {
   sim::Rng rng_;
 };
 
+/// A deaf node that drives a `len`-bit dominant pulse every `period` bits
+/// (the first at bit `period`) and is recessive otherwise.  Its window
+/// contract is honest and fully transparent, so beside a ChokeNode only the
+/// fault injector can keep a pulse — which the injector's frame tracker
+/// reads as a SOF after enough idle bits — out of a window.
+class PulseNode final : public can::CanNode {
+ public:
+  PulseNode(sim::BitTime period, sim::BitTime len)
+      : period_(period), len_(len) {}
+
+  void tick(sim::BitTime now) override { clock_ = now; }
+  [[nodiscard]] sim::BitLevel tx_level() override {
+    return driving(clock_) ? sim::BitLevel::Dominant
+                           : sim::BitLevel::Recessive;
+  }
+  void on_bus_bit(sim::BitLevel /*bus*/) override { ++clock_; }
+  [[nodiscard]] DrivePattern drive_pattern(sim::BitTime now) override {
+    std::uint64_t bits = ~0ull;
+    for (sim::BitTime i = 0; i < 64; ++i) {
+      if (driving(now + i)) bits &= ~(std::uint64_t{1} << i);
+    }
+    return {64, bits};
+  }
+  [[nodiscard]] sim::BitTime transparent_bits(sim::BitTime /*now*/,
+                                              std::uint64_t /*word*/,
+                                              sim::BitTime count) override {
+    return count;
+  }
+  void on_bus_word(sim::BitTime now, std::uint64_t /*word*/,
+                   sim::BitTime count) override {
+    clock_ = now + count;
+  }
+  [[nodiscard]] std::string_view name() const override { return "pulse"; }
+
+ private:
+  [[nodiscard]] bool driving(sim::BitTime t) const {
+    return t >= period_ && t % period_ < len_;
+  }
+
+  sim::BitTime period_;
+  sim::BitTime len_;
+  sim::BitTime clock_{0};  // the bit tx_level() answers for
+};
+
 /// Everything a recording can differ in: the full serialized event log, the
 /// exact waveform, and the two engine perf counters.
 struct Recording {
@@ -79,26 +120,20 @@ struct Recording {
   std::uint64_t skipped{};
 };
 
-struct EngineMode {
-  bool fast_path;
-  bool batching;
-};
-
-constexpr EngineMode kNaive{false, false};
-constexpr EngineMode kBatched{false, true};  // batching isolated from skipping
-constexpr EngineMode kFull{true, true};
+/// Engine switch values (WiredAndBus::set_fast_path).
+constexpr bool kNaive = false;
+constexpr bool kBatched = true;
 
 /// Two controllers with maximally stuff-heavy periodic traffic: all-zero and
 /// all-ones payloads produce a stuff bit every five wire bits, so windows of
 /// every length land boundaries inside stuff runs.  IDs 0x400/0x401 differ
 /// only in the last arbitration bit, so simultaneous enqueues decide
 /// arbitration as late as possible.
-Recording record_stuffy(EngineMode mode, sim::BitTime choke,
+Recording record_stuffy(bool fast_path, sim::BitTime choke,
                         std::uint64_t choke_seed, double phase_b = 95.0,
                         const can::FaultSpec* fault = nullptr) {
   can::WiredAndBus bus{sim::BusSpeed{50'000}};
-  bus.set_fast_path(mode.fast_path);
-  bus.set_batching(mode.batching);
+  bus.set_fast_path(fast_path);
 
   can::BitController a{"ecu-a"};
   can::BitController b{"ecu-b"};
@@ -134,14 +169,25 @@ TEST(BatchEngine, StuffRunsByteIdenticalAtEveryWindowAlignment) {
   // Fixed choke k makes uncontested windows exactly k bits long, so sweeping
   // k slides the word boundary across every stuff-run alignment — including
   // a boundary straight through the middle of a five-bit run and directly
-  // before/after the inserted stuff bit.
+  // before/after the inserted stuff bit.  Chokes above 64 exercise the
+  // clamp: a window holding a dominant bit stops at 64, and only idle
+  // stretches run longer — up to the next periodic enqueue with kNever.
   const auto reference = record_stuffy(kNaive, 0, 1);
   EXPECT_EQ(reference.batched, 0u);
-  for (sim::BitTime k = 8; k <= 64; ++k) {
+  std::vector<sim::BitTime> chokes;
+  for (sim::BitTime k = 8; k <= 64; ++k) chokes.push_back(k);
+  for (const sim::BitTime k : {sim::BitTime{65}, sim::BitTime{128},
+                               sim::BitTime{700}, can::kNever}) {
+    chokes.push_back(k);
+  }
+  for (const sim::BitTime k : chokes) {
     const auto r = record_stuffy(kBatched, k, 1);
     ASSERT_EQ(reference.events, r.events) << "choke=" << k;
     ASSERT_EQ(reference.wave, r.wave) << "choke=" << k;
     EXPECT_GT(r.batched, 0u) << "choke=" << k;
+    if (k > 64) {
+      EXPECT_GT(r.skipped, 0u) << "choke=" << k;
+    }
   }
 }
 
@@ -175,17 +221,14 @@ TEST(BatchEngine, HorizonSplitAssociativityPropertySweep) {
     ASSERT_EQ(reference.events, r.events) << "seed=" << seed;
     ASSERT_EQ(reference.wave, r.wave) << "seed=" << seed;
   }
-  // The full engine (skipping + batching) composes too.
-  const auto full = record_stuffy(kFull, 64, 1);
-  EXPECT_EQ(reference.events, full.events);
-  EXPECT_EQ(reference.wave, full.wave);
 }
 
 TEST(BatchEngine, ScheduledFlipVetoesBatchingAndStaysByteIdentical) {
   // A scheduled flip depends on the per-bit wire position (frame-relative
-  // addressing), so the injector vetoes every batch window outright: the
-  // engine must fall back to per-bit stepping for the whole recording and
-  // still reproduce the naive recording exactly.
+  // addressing), so the injector vetoes every window inside a frame and
+  // stops idle windows before their first dominant bit: no window holding a
+  // dominant level ever commits, and the recording still reproduces the
+  // naive one exactly.
   can::FaultSpec fault;
   can::ScheduledFlip flip;
   flip.frame = 2;
@@ -198,7 +241,7 @@ TEST(BatchEngine, ScheduledFlipVetoesBatchingAndStaysByteIdentical) {
   EXPECT_EQ(reference.events, batched.events);
   EXPECT_EQ(reference.wave, batched.wave);
   EXPECT_EQ(batched.batched, 0u)
-      << "scheduled flips must force full per-bit fallback";
+      << "scheduled flips must force per-bit stepping through every frame";
   ASSERT_NE(reference.events.find("FaultInjected"), std::string::npos);
 }
 
@@ -217,17 +260,65 @@ TEST(BatchEngine, StuckWindowCapsBatchingAroundItself) {
       << "batching must resume outside the stuck window";
 }
 
+TEST(BatchEngine, FlipsAndSkewKeepWindowsOffTrackedFrames) {
+  // Scheduled flips and sample-point skew act per bit inside a frame, so the
+  // injector refuses every window while its tracker is in a frame and stops
+  // idle windows before the dominant bit that could open one.  Here every
+  // node is transparent to a pulse the tracker reads as a SOF, so those two
+  // rules alone keep the pulses, the flip inside the second one and the
+  // choke's drifting samples on the stepped path.
+  can::FaultSpec fault;
+  fault.skews = {{"choke", 0.3, 0.0}};
+  can::ScheduledFlip flip;
+  flip.frame = 1;
+  flip.field = can::Field::Id;
+  flip.bit = 4;
+  fault.flips.push_back(flip);
+
+  struct Run {
+    Recording rec;
+    can::FaultInjector::Stats faults;
+  };
+  auto record = [&fault](bool fast_path, std::uint64_t choke_seed) {
+    can::WiredAndBus bus{sim::BusSpeed{50'000}};
+    bus.set_fast_path(fast_path);
+    PulseNode pulse{200, 3};
+    ChokeNode choke{0, choke_seed};
+    bus.attach(pulse);
+    bus.attach(choke);
+    can::FaultInjector injector{fault, 7};
+    bus.set_fault_injector(&injector);
+    bus.run(sim::Bits{2000});
+    return Run{{obs::to_jsonl(bus.log()),
+                bus.trace().render(0, bus.trace().size()), bus.bits_batched(),
+                bus.bits_skipped()},
+               injector.stats()};
+  };
+
+  const auto reference = record(kNaive, 1);
+  ASSERT_EQ(reference.faults.scheduled_flips, 1u);
+  ASSERT_GT(reference.faults.sample_slips, 0u);
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const auto r = record(kBatched, seed);
+    ASSERT_EQ(reference.rec.events, r.rec.events) << "seed=" << seed;
+    ASSERT_EQ(reference.rec.wave, r.rec.wave) << "seed=" << seed;
+    EXPECT_EQ(reference.faults.sample_slips, r.faults.sample_slips)
+        << "seed=" << seed;
+    EXPECT_GT(r.rec.batched + r.rec.skipped, 0u) << "seed=" << seed;
+  }
+}
+
 TEST(BatchEngine, CounterattackWindowsNeverOpenMidWord) {
   // An armed MichiCAN monitor reacts on exactly two bits: the arm-position
   // verdict and the last counterattack bit.  Its transparent prefix stops
   // before either, so every counterattack starts and ends on a stepped bit
   // at its exact time, while benign frames and idle stretches still batch.
   // The event log and the metrics pin each counterattack to its bit.
-  auto make = [](bool batching) {
+  auto make = [](bool fast_path) {
     auto spec = analysis::table2_experiment(2);
     spec.duration = sim::Millis{200.0};
     spec.capture_timeline = true;
-    spec.batching = batching;
+    spec.fast_path = fast_path;
     return analysis::run_experiment(spec);
   };
   const auto batched = make(true);
@@ -255,7 +346,6 @@ TEST(BatchEngine, SaturatingBitArithmeticNeverWraps) {
   // would silently turn run() into a no-op).
   can::WiredAndBus bus{sim::BusSpeed{50'000}};
   bus.set_fast_path(false);
-  bus.set_batching(false);
   can::BitController idle{"idle"};
   idle.attach_to(bus);
   bus.run(sim::Bits{50});

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "can/bus.hpp"
 #include "can/periodic.hpp"
 #include "core/michican_node.hpp"
+#include "obs/timeline.hpp"
 
 namespace mcan::attack {
 namespace {
@@ -91,6 +95,24 @@ TEST(Cannon, IgnoresNonVictimIds) {
   env.bus.run(20'000);
   EXPECT_EQ(cannon.hits(), 0);
   EXPECT_EQ(env.victim.stats().tx_errors, 0u);
+}
+
+TEST(Cannon, EngineRecordingMatchesNaiveKernel) {
+  // While idle the injector joins batch windows as a SOF-watcher — also
+  // through the rest of every non-victim frame, where it has resynced to
+  // wait for idle — so the engine must reproduce the naive recording.
+  auto record = [](bool fast_path) {
+    CannonEnv env{400.0};
+    env.bus.set_fast_path(fast_path);
+    can::attach_periodic(env.peer, can::CanFrame::make(0x300, {0x01}), 700.0);
+    CannonAttacker cannon{"cannon", {.victim_id = 0x123}};
+    env.bus.attach(cannon);
+    env.bus.run(30'000);
+    return std::pair{obs::to_jsonl(env.bus.log()),
+                     env.bus.trace().render(0, env.bus.trace().size())};
+  };
+  const auto naive = record(false);
+  EXPECT_EQ(naive, record(true));
 }
 
 TEST(Cannon, CustomInjectionPositionInDataField) {

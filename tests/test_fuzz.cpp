@@ -74,7 +74,7 @@ TEST(Fuzz, BatchedPopulationIsGeneratedAndOracleChecked) {
   cfg.jobs = 0;
   const auto report = run_fuzz(cfg);
   // ~15% of cases target the word-level batch engine; they run the full
-  // Clean-tier oracle and the three-way engine identity comparison.
+  // Clean-tier oracle and the batched/naive engine identity comparison.
   EXPECT_GT(report.kind_counts[3], 0u);
   const auto json = to_json(report);
   EXPECT_NE(json.find("\"batched\":"), std::string::npos);

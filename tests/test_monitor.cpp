@@ -446,20 +446,25 @@ TEST(BitMonitorWordPath, MatchesPerBitHandlerOnRandomStreams) {
 
       // Word path, driven the way the bus drives it: scan a window, commit
       // a prefix no longer than the scan, step the next bit per bit.
-      // Recessive stretches while SOF-watching go through on_idle_bits()
-      // like a quiescence skip.
+      // Recessive stretches also go through all-recessive windows (the
+      // bus's idle skip), up to prefix_bound() bits — unbounded while
+      // SOF-watching, where no scan runs at all.
       Replica word{fsm, ext, v.cfg};
       while (word.now < wire.size()) {
         const sim::BitTime left = wire.size() - word.now;
-        if (word.monitor.quiescent() && rng.chance(0.2)) {
+        if (rng.chance(0.2)) {
           sim::BitTime run = 0;
           while (run < left && sim::is_recessive(wire[word.now + run])) ++run;
+          run = std::min(run, word.monitor.prefix_bound());
           if (run > 0) {
-            const sim::BitTime n = rng.uniform(1, run);
-            word.monitor.on_idle_bits(n);
-            word.now += n;
-            EXPECT_EQ(sample(word), pio[word.now - 1]);
-            continue;
+            const sim::BitTime n = word.monitor.transparent_bits(
+                word.now, ~0ull, rng.uniform(1, run));
+            if (n > 0) {
+              word.monitor.on_bus_word(word.now, ~0ull, n);
+              word.now += n;
+              EXPECT_EQ(sample(word), pio[word.now - 1]);
+              continue;
+            }
           }
         }
         const sim::BitTime count = std::min<sim::BitTime>(

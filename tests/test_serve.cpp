@@ -68,7 +68,6 @@ TEST(CellKey, FingerprintExcludesSeedAndEngineToggles) {
   spec.seed = 12345;  // keyed separately as the derived seed
   EXPECT_EQ(base, runner::spec_fingerprint(spec));
   spec.fast_path = !spec.fast_path;  // equivalence-gated: same result
-  spec.batching = !spec.batching;
   spec.capture_timeline = true;
   EXPECT_EQ(base, runner::spec_fingerprint(spec));
 }
