@@ -5,9 +5,9 @@
 //
 // The driver runs one campaign grid three ways — uncached, cold through a
 // cache (compute + persist every cell), warm through the same cache (replay
-// every cell) — asserts the two guarantees the serve daemon is built on
-// (warm report byte-identical to cold, warm run 100% hits), and reports the
-// measured replay speedup.  Exits nonzero if either guarantee breaks or the
+// every cell) — asserts the two guarantees `campaign --cache-dir` is built
+// on (warm report byte-identical to cold, warm run 100% hits), and reports
+// the measured replay speedup.  Exits nonzero if either guarantee breaks or the
 // warm replay fails to beat the cold run by at least the CI smoke's 10x
 // floor.  Both MemoryStore and DiskStore are exercised; the microbenchmarks
 // isolate the codec and store costs per cell.
@@ -22,9 +22,6 @@
 #include "analysis/experiments.hpp"
 #include "analysis/table.hpp"
 #include "obs/jsonfmt.hpp"
-#include "obs/log.hpp"
-#include "obs/metrics.hpp"
-#include "obs/prom.hpp"
 #include "obs/trace_context.hpp"
 #include "runner/campaign.hpp"
 #include "runner/cell_codec.hpp"
@@ -95,29 +92,21 @@ bool check_store(const runner::CliOptions& opts, runner::CellStore& store,
   return true;
 }
 
-/// The observability invariant the serve daemon advertises: a campaign run
-/// with span collection and debug logging attached produces the same report
-/// bytes as a bare run.  Gate, not a benchmark — telemetry that perturbs
-/// results is worse than no telemetry.
+/// The observability invariant: a campaign run with span collection
+/// attached produces the same report bytes as a bare run.  Gate, not a
+/// benchmark — telemetry that perturbs results is worse than no telemetry.
 bool check_telemetry_neutrality(const runner::CliOptions& opts) {
   const auto baseline = runner::to_json(runner::run_campaign(grid(opts,
                                                                   nullptr)));
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "michican_bench_telemetry";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  obs::Log log{{obs::LogLevel::Debug, (dir / "bench.jsonl").string(), 0}};
   obs::SpanCollector spans{0xBE7Cull};
   auto traced = grid(opts, nullptr);
   traced.spans = &spans;
-  traced.progress = runner::log_progress(log);
   const auto report = runner::to_json(runner::run_campaign(traced));
-  std::filesystem::remove_all(dir);
 
   const bool identical = report == baseline;
-  std::cout << "telemetry: " << spans.span_count() << " spans, "
-            << log.lines_written() << " log lines, byte-identical: "
-            << (identical ? "yes" : "NO") << "\n";
+  std::cout << "telemetry: " << spans.span_count()
+            << " spans, byte-identical: " << (identical ? "yes" : "NO")
+            << "\n";
   if (!identical) {
     std::cerr << "telemetry-attached report is NOT byte-identical\n";
   }
@@ -176,33 +165,6 @@ void BM_DiskStoreFetch(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_DiskStoreFetch);
-
-void BM_LogLine(benchmark::State& state) {
-  const auto path = std::filesystem::temp_directory_path() /
-                    "michican_bench_log.jsonl";
-  obs::Log log{{obs::LogLevel::Debug, path.string(), 0}};
-  for (auto _ : state) {
-    log.debug("progress", "\"done\":17,\"total\":64");
-  }
-  state.counters["lines"] = static_cast<double>(log.lines_written());
-  std::filesystem::remove(path);
-}
-BENCHMARK(BM_LogLine);
-
-void BM_PromRender(benchmark::State& state) {
-  obs::Registry reg;
-  reg.counter("serve.requests") = 1234;
-  reg.counter("serve.errors") = 5;
-  reg.gauge("serve.queue_depth") = 3;
-  auto& h = reg.histogram(
-      "serve.request_ms",
-      {1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0});
-  for (int i = 1; i < 1000; ++i) h.observe(static_cast<double>(i % 700));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(obs::prom_render(reg, "michican"));
-  }
-}
-BENCHMARK(BM_PromRender);
 
 void BM_SpanScope(benchmark::State& state) {
   obs::SpanCollector spans{0x1ull};

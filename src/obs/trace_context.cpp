@@ -19,13 +19,6 @@ std::uint64_t fnv_mix(std::uint64_t hash, const void* data, std::size_t len) {
   return hash;
 }
 
-int hex_digit(char c) noexcept {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
 }  // namespace
 
 std::string hex16(std::uint64_t v) {
@@ -36,17 +29,6 @@ std::string hex16(std::uint64_t v) {
     v >>= 4;
   }
   return out;
-}
-
-std::optional<std::uint64_t> parse_hex16(std::string_view text) {
-  if (text.size() != 16) return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : text) {
-    const int d = hex_digit(c);
-    if (d < 0) return std::nullopt;
-    v = (v << 4) | static_cast<std::uint64_t>(d);
-  }
-  return v;
 }
 
 TraceIdBuilder& TraceIdBuilder::mix(std::string_view part) {
@@ -61,9 +43,8 @@ TraceIdBuilder& TraceIdBuilder::mix_u64(std::uint64_t v) {
   return *this;
 }
 
-SpanCollector::SpanCollector(std::uint64_t trace_id,
-                             std::chrono::steady_clock::time_point epoch)
-    : trace_id_(trace_id), epoch_(epoch) {}
+SpanCollector::SpanCollector(std::uint64_t trace_id)
+    : trace_id_(trace_id), epoch_(std::chrono::steady_clock::now()) {}
 
 double SpanCollector::now_us() const {
   return std::chrono::duration<double, std::micro>(
@@ -115,17 +96,21 @@ SpanCollector::Scope::~Scope() {
   collector_->record(std::move(span));
 }
 
-std::string SpanCollector::to_chrome_events(int pid) const {
+std::string SpanCollector::to_chrome_trace(int pid) const {
+  const std::string id_hex = hex16(trace_id_);
+  std::string out =
+      "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"schema\":"
+      "\"michican.trace.v1\",\"trace_id\":\"";
+  out += id_hex;
+  out += "\"},\"traceEvents\":[\n";
   auto sorted = spans();
-  if (sorted.empty()) return {};
+  if (sorted.empty()) return out + "\n]}\n";
   std::sort(sorted.begin(), sorted.end(), [](const Span& a, const Span& b) {
     if (a.track != b.track) return a.track < b.track;
     if (a.start_us != b.start_us) return a.start_us < b.start_us;
     return a.id < b.id;
   });
 
-  const std::string id_hex = hex16(trace_id_);
-  std::string out;
   out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
          std::to_string(pid) +
          ",\"tid\":0,\"args\":{\"name\":\"michican-serve\"}}";
@@ -154,26 +139,8 @@ std::string SpanCollector::to_chrome_events(int pid) const {
     }
     out += "}}";
   }
-  return out;
-}
-
-std::string SpanCollector::to_chrome_trace(int pid) const {
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"schema\":"
-                    "\"michican.trace.v1\",\"trace_id\":\"" +
-                    hex16(trace_id_) + "\"},\"traceEvents\":[\n";
-  out += to_chrome_events(pid);
   out += "\n]}\n";
   return out;
-}
-
-std::string splice_into_chrome_trace(std::string trace_json,
-                                     const std::string& events) {
-  if (events.empty()) return trace_json;
-  static constexpr std::string_view kMarker = "\"traceEvents\":[\n";
-  const auto pos = trace_json.find(kMarker);
-  if (pos == std::string::npos) return trace_json;
-  trace_json.insert(pos + kMarker.size(), events + ",\n");
-  return trace_json;
 }
 
 }  // namespace mcan::obs

@@ -1,11 +1,9 @@
-// Request tracing for serve mode: a 64-bit trace id derived from the
-// request's seed material, plus a thread-safe collector of completed spans
-// (parse → plan → per-cell cache-probe/compute → aggregate → serialize).
-//
-// The trace id travels from the submit client through the optional
-// michican.serve.v1 `trace` field into the runner, and every exported span
-// carries it in its args — so a single Perfetto view correlates service
-// spans (pid 1) with the simulator's bit-level tracks (pid 0) under one id.
+// Span tracing: a 64-bit trace id derived from seed material, plus a
+// thread-safe collector of completed spans (plan → per-cell
+// cache-probe/compute → aggregate) that renders as a Chrome trace-event
+// document, every span tagged with the one trace id.  perfbench's traced
+// run hangs a collector off CampaignConfig::spans to split a campaign's
+// wall time by phase.
 //
 // Layering: obs sits below runner, so the id derivation here is a local
 // FNV-1a with length-framed parts (runner::Fingerprint is not visible from
@@ -19,7 +17,6 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,11 +26,8 @@ namespace mcan::obs {
 /// Lower-case, zero-padded 16-hex-digit rendering of a 64-bit id.
 [[nodiscard]] std::string hex16(std::uint64_t v);
 
-/// Parse exactly 16 lower/upper hex digits; nullopt on anything else.
-[[nodiscard]] std::optional<std::uint64_t> parse_hex16(std::string_view text);
-
-/// Accumulates request seed material (op name, scenario list, seed range,
-/// case count, ...) into a 64-bit trace id.  Length-framed so that
+/// Accumulates seed material (workload name, scenario list, seed range,
+/// ...) into a 64-bit trace id.  Length-framed so that
 /// mix("ab").mix("c") != mix("a").mix("bc").
 class TraceIdBuilder {
  public:
@@ -62,16 +56,10 @@ struct Span {
 /// export sorts by (track, start) so output is stable for rendering.
 class SpanCollector {
  public:
-  /// `epoch` anchors span timestamps; defaults to construction time.  Pass
-  /// an earlier point (e.g. when the request frame started arriving) to
-  /// give the parse span a true start.
-  explicit SpanCollector(std::uint64_t trace_id,
-                         std::chrono::steady_clock::time_point epoch =
-                             std::chrono::steady_clock::now());
+  /// Span timestamps count from construction time.
+  explicit SpanCollector(std::uint64_t trace_id);
 
-  [[nodiscard]] std::uint64_t trace_id() const noexcept { return trace_id_; }
-
-  /// Microseconds since the epoch (monotonic).
+  /// Microseconds since construction (monotonic).
   [[nodiscard]] double now_us() const;
 
   /// Reserve the next span id (thread-safe).  Lets a parent hand its id to
@@ -110,15 +98,9 @@ class SpanCollector {
     std::string args_json_;
   };
 
-  /// Chrome trace-event fragment: ",\n"-joined events (no enclosing array)
-  /// — process/thread metadata plus one "X" slice per span, all at `pid`,
-  /// each tagged "trace_id":"<hex16>".  Empty string when no spans were
-  /// recorded.  Feed to splice_into_chrome_trace or wrap via
-  /// to_chrome_trace().
-  [[nodiscard]] std::string to_chrome_events(int pid = 1) const;
-
-  /// Standalone Chrome trace document of just the service spans (for
-  /// requests with no sim timeline to merge into).
+  /// Chrome trace document: process/thread metadata plus one "X" slice per
+  /// span, all at `pid`, each tagged "trace_id":"<hex16>"; an empty event
+  /// array when no spans were recorded.
   [[nodiscard]] std::string to_chrome_trace(int pid = 1) const;
 
  private:
@@ -128,12 +110,5 @@ class SpanCollector {
   std::uint64_t next_id_{1};
   std::vector<Span> spans_;
 };
-
-/// Insert `events` (a to_chrome_events fragment) into an existing Chrome
-/// trace document produced by obs::to_chrome_trace — the service spans land
-/// at their own pid above the sim tracks.  Returns the document unchanged
-/// when `events` is empty or the envelope marker is missing.
-[[nodiscard]] std::string splice_into_chrome_trace(std::string trace_json,
-                                                   const std::string& events);
 
 }  // namespace mcan::obs

@@ -194,53 +194,45 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
       task.seed = cell.seed;
       task.derived_seed = cell.derived_seed;
       const auto task_start = Clock::now();
-      if (cfg.cancel != nullptr &&
-          cfg.cancel->load(std::memory_order_relaxed)) {
-        // Drain: cells that have not started are skipped; cells already
-        // running on other workers finish (and persist) normally.
-        task.ok = false;
-        task.error = "cancelled";
-      } else {
-        // Fetch-or-compute through the cell store.  A fetched entry that
-        // fails to decode is treated exactly like a miss: recompute, then
-        // re-store over the bad bytes — but counted as corrupt.
-        if (cfg.cells != nullptr) {
-          obs::SpanCollector::Scope probe{cfg.spans, "cell.probe", "cell",
-                                          cfg.spans_parent};
-          probe.set_track(1 + static_cast<int>(cell.slot));
-          if (const auto bytes = cfg.cells->fetch(cell.key)) {
-            if (decode_cell(*bytes, task.result)) {
-              task.ok = true;
-              task.cached = true;
-            } else {
-              task.cache_corrupt = true;
-            }
+      // Fetch-or-compute through the cell store.  A fetched entry that
+      // fails to decode is treated exactly like a miss: recompute, then
+      // re-store over the bad bytes — but counted as corrupt.
+      if (cfg.cells != nullptr) {
+        obs::SpanCollector::Scope probe{cfg.spans, "cell.probe", "cell",
+                                        cfg.spans_parent};
+        probe.set_track(1 + static_cast<int>(cell.slot));
+        if (const auto bytes = cfg.cells->fetch(cell.key)) {
+          if (decode_cell(*bytes, task.result)) {
+            task.ok = true;
+            task.cached = true;
+          } else {
+            task.cache_corrupt = true;
           }
         }
-        if (!task.cached) {
-          obs::SpanCollector::Scope compute{cfg.spans, "cell.compute", "cell",
-                                            cfg.spans_parent};
-          compute.set_track(1 + static_cast<int>(cell.slot));
-          if (cfg.spans != nullptr) {
-            compute.set_args("\"spec\":" + std::to_string(cell.spec_index) +
-                             ",\"seed\":" + std::to_string(cell.seed));
-          }
-          try {
-            auto spec = cfg.specs[cell.spec_index];
-            spec.seed = task.derived_seed;
-            analysis::validate(spec);
-            task.result = analysis::run_experiment(spec);
-            task.ok = true;
-          } catch (const std::exception& e) {
-            task.ok = false;
-            task.error = e.what();
-          } catch (...) {
-            task.ok = false;
-            task.error = "unknown exception";
-          }
-          if (task.ok && cfg.cells != nullptr) {
-            cfg.cells->store(cell.key, encode_cell(task.result));
-          }
+      }
+      if (!task.cached) {
+        obs::SpanCollector::Scope compute{cfg.spans, "cell.compute", "cell",
+                                          cfg.spans_parent};
+        compute.set_track(1 + static_cast<int>(cell.slot));
+        if (cfg.spans != nullptr) {
+          compute.set_args("\"spec\":" + std::to_string(cell.spec_index) +
+                           ",\"seed\":" + std::to_string(cell.seed));
+        }
+        try {
+          auto spec = cfg.specs[cell.spec_index];
+          spec.seed = task.derived_seed;
+          analysis::validate(spec);
+          task.result = analysis::run_experiment(spec);
+          task.ok = true;
+        } catch (const std::exception& e) {
+          task.ok = false;
+          task.error = e.what();
+        } catch (...) {
+          task.ok = false;
+          task.error = "unknown exception";
+        }
+        if (task.ok && cfg.cells != nullptr) {
+          cfg.cells->store(cell.key, encode_cell(task.result));
         }
       }
       task.wall_ms = elapsed_ms(task_start);
@@ -254,8 +246,6 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
   for (const auto& task : report.tasks) {
     if (task.cached) {
       ++report.cache_hits;
-    } else if (task.error == "cancelled") {
-      ++report.cells_cancelled;
     } else if (report.cache_enabled) {
       ++report.cache_misses;
     }

@@ -18,7 +18,6 @@
 // Only the `runtime` block of the JSON report (jobs, wall-clock) varies.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -58,14 +57,10 @@ struct CampaignConfig {
   /// store attached each planned cell is fetched by content address first
   /// and only computed — then persisted — on a miss, so a warm rerun of an
   /// unchanged grid is pure cache replay and byte-identical by
-  /// construction.  Not owned; must outlive run_campaign().
+  /// construction, and a run killed part-way resumes from the cells it
+  /// already stored.  Not owned; must outlive run_campaign().
   CellStore* cells{nullptr};
-  /// Graceful-cancellation flag (e.g. set from a SIGINT/SIGTERM handler).
-  /// Once it reads true, cells that have not started are marked failed
-  /// ("cancelled") without computing; in-flight cells finish normally and
-  /// are still persisted to the store — a drained, partially-warm cache.
-  const std::atomic<bool>* cancel{nullptr};
-  /// Request-trace sink (serve mode).  Null = no tracing.  When set, the
+  /// Span sink (perfbench's traced run).  Null = no tracing.  When set, the
   /// runner records plan / per-cell cache-probe / per-cell compute /
   /// aggregate spans, parented under `spans_parent`.  Telemetry only —
   /// attaching a collector never changes the report (guarded by test).
@@ -176,12 +171,10 @@ struct CampaignReport {
   unsigned jobs_used{};
   double wall_ms{};
   /// Cell-store outcome of this run (all zero without a store attached):
-  /// hits = cells replayed from the cache, misses = cells computed,
-  /// cancelled = cells skipped by a cancellation request.
+  /// hits = cells replayed from the cache, misses = cells computed.
   bool cache_enabled{};
   std::uint64_t cache_hits{};
   std::uint64_t cache_misses{};
-  std::uint64_t cells_cancelled{};
   /// Cells whose fetched bytes failed to decode and were recomputed (a
   /// subset of cache_misses).
   std::uint64_t cache_corrupt{};

@@ -6,7 +6,6 @@ namespace mcan::runner {
 namespace {
 
 constexpr std::string_view kCellMagic = "MCEL1\n";
-constexpr std::string_view kFuzzMagic = "MCFZ1\n";
 /// Upper bound on any serialized collection — rejects absurd counts from a
 /// corrupted length field before they turn into a giant allocation.
 constexpr std::uint64_t kMaxCount = 1u << 20;
@@ -270,45 +269,6 @@ bool decode_cell(std::string_view bytes, analysis::ExperimentResult& out) {
   }
   out.defender_tec = static_cast<int>(tec);
   out.defender_rec = static_cast<int>(rec);
-  return r.done();
-}
-
-std::string encode_fuzz_cell(const FuzzCellResult& cell) {
-  Writer w;
-  w.raw(kFuzzMagic);
-  w.u8(static_cast<std::uint8_t>(cell.kind));
-  w.u8(cell.diverged ? 1 : 0);
-  w.str(cell.divergence);
-  w.u8(cell.stats.oracle_checked ? 1 : 0);
-  w.u8(cell.stats.collision_skip ? 1 : 0);
-  w.u64(cell.stats.frames_on_wire);
-  w.u64(cell.stats.wire_bits_compared);
-  w.u64(cell.stats.stuff_bits_checked);
-  w.u64(cell.stats.arbitration_rounds);
-  return w.take();
-}
-
-bool decode_fuzz_cell(std::string_view bytes, FuzzCellResult& out) {
-  const auto index = out.index;
-  const auto stream = out.stream;
-  const auto derived_seed = out.derived_seed;
-  out = FuzzCellResult{};
-  out.index = index;
-  out.stream = stream;
-  out.derived_seed = derived_seed;
-  Reader r{bytes};
-  std::uint8_t kind = 0;
-  if (!r.magic(kFuzzMagic) || !r.u8(kind) || kind > 3 ||
-      !r.boolean(out.diverged) || !r.str(out.divergence) ||
-      !r.boolean(out.stats.oracle_checked) ||
-      !r.boolean(out.stats.collision_skip) ||
-      !r.u64(out.stats.frames_on_wire) ||
-      !r.u64(out.stats.wire_bits_compared) ||
-      !r.u64(out.stats.stuff_bits_checked) ||
-      !r.u64(out.stats.arbitration_rounds)) {
-    return false;
-  }
-  out.kind = static_cast<conformance::CaseKind>(kind);
   return r.done();
 }
 

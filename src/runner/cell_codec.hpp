@@ -22,7 +22,6 @@
 #include <string_view>
 
 #include "analysis/experiments.hpp"
-#include "runner/fuzz.hpp"
 
 namespace mcan::runner {
 
@@ -34,13 +33,5 @@ namespace mcan::runner {
 /// malformed input, leaving `out` unspecified.
 [[nodiscard]] bool decode_cell(std::string_view bytes,
                                analysis::ExperimentResult& out);
-
-/// Serialize one fuzz cell outcome (kind, divergence, check stats).  The
-/// identity fields (index, stream, derived seed) are not stored — they are
-/// part of the cache key, re-derived from the plan on every run.
-[[nodiscard]] std::string encode_fuzz_cell(const FuzzCellResult& cell);
-
-[[nodiscard]] bool decode_fuzz_cell(std::string_view bytes,
-                                    FuzzCellResult& out);
 
 }  // namespace mcan::runner

@@ -144,12 +144,6 @@ std::uint64_t spec_fingerprint(const analysis::ExperimentSpec& spec) {
   return fp.digest();
 }
 
-std::uint64_t fuzz_cell_fingerprint() {
-  Fingerprint fp;
-  fp.mix_str("michican.fuzz.cell");
-  return fp.digest();
-}
-
 std::string CellKey::id() const {
   std::array<char, 40> buf{};
   std::snprintf(buf.data(), buf.size(), "%016llx-%016llx-",

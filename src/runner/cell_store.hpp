@@ -1,12 +1,12 @@
 // The CellStore seam: content-addressed fetch-or-compute for campaign grid
 // cells (ARCHITECTURE.md §7).
 //
-// Every (spec, seed) cell of a campaign — and every index of a fuzz run —
-// is deterministic by construction (the jobs=1-vs-N byte-identity gates of
-// the benches and test_runner prove it on every run).  A deterministic cell
-// is a pure function of its identity, so its serialized result can be
-// cached and replayed verbatim: a warm sweep that fetches every cell is
-// byte-identical to a cold one *by construction*, not by luck.
+// Every (spec, seed) cell of a campaign is deterministic by construction
+// (the jobs=1-vs-N byte-identity gates of the benches and test_runner
+// prove it on every run).  A deterministic cell is a pure function of its
+// identity, so its serialized result can be cached and replayed verbatim:
+// a warm sweep that fetches every cell is byte-identical to a cold one *by
+// construction*, not by luck.
 //
 // Cache key = (spec content hash, derived seed, engine version):
 //   * spec hash    — fingerprint() over every semantic ExperimentSpec field
@@ -23,11 +23,12 @@
 //   * engine       — kEngineVersion, bumped whenever simulation semantics
 //                    change; one bump invalidates every prior cell.
 //
-// CellStore is the narrow interface the runners talk through.  MemoryStore
-// is the in-process implementation (tests, single-run reuse); the
-// long-lived daemon plugs in serve::DiskStore (size-capped LRU,
-// hash-verified entries).  A null store pointer in the runner configs means
-// "compute every cell" — existing call sites keep working unchanged.
+// CellStore is the narrow interface run_campaign() talks through.
+// MemoryStore is the in-process implementation (tests, single-run reuse);
+// `michican_cli campaign --cache-dir` and perfbench plug in
+// serve::DiskStore (one hash-verified file per cell, persistent across
+// runs).  A null CampaignConfig::cells means "compute every cell" —
+// existing call sites keep working unchanged.
 #pragma once
 
 #include <cstddef>
@@ -73,11 +74,6 @@ class Fingerprint {
 [[nodiscard]] std::uint64_t spec_fingerprint(
     const analysis::ExperimentSpec& spec);
 
-/// Content hash of a conformance fuzz cell.  A fuzz case is generated
-/// entirely from its derived seed, so the "content" is a fixed domain tag;
-/// generator changes are covered by the engine-version key component.
-[[nodiscard]] std::uint64_t fuzz_cell_fingerprint();
-
 struct CellKey {
   std::uint64_t spec_hash{};
   std::uint64_t seed{};  // derived seed — the actual RNG input
@@ -96,7 +92,6 @@ class CellStore {
     std::uint64_t hits{};
     std::uint64_t misses{};
     std::uint64_t stores{};
-    std::uint64_t evictions{};
     /// Entries whose stored hash failed re-verification (or that could not
     /// be parsed).  Counted, discarded, recomputed — never fatal.
     std::uint64_t corrupt{};
@@ -118,7 +113,7 @@ class CellStore {
 };
 
 /// In-memory store: a mutex-guarded map.  The passthrough implementation
-/// for tests and for reuse inside one process when no daemon is running.
+/// for tests and for reuse inside one process.
 class MemoryStore final : public CellStore {
  public:
   [[nodiscard]] std::optional<std::string> fetch(const CellKey& key) override;

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -20,7 +21,12 @@ ArgTable shared_cli_table(CliOptions& opts) {
   table
       .value("--jobs", "N", "worker threads (0 = hardware concurrency)",
              [&opts](const std::string& v) {
-               opts.jobs = static_cast<unsigned>(parse_u64_arg(v, "--jobs"));
+               const std::uint64_t jobs = parse_u64_arg(v, "--jobs");
+               if (jobs > std::numeric_limits<unsigned>::max()) {
+                 throw std::invalid_argument(
+                     std::string{"--jobs out of range: '"} + v + "'");
+               }
+               opts.jobs = static_cast<unsigned>(jobs);
              })
       .value("--seeds", "A..B",
              "half-open seed range [A, B); \"--seeds N\" means [0, N)",
@@ -66,14 +72,6 @@ void print_progress(std::size_t done, std::size_t total) {
   std::fprintf(stderr, "\r  [%zu/%zu] campaign tasks done%s", done, total,
                done == total ? "\n" : "");
   std::fflush(stderr);
-}
-
-std::function<void(std::size_t, std::size_t)> log_progress(obs::Log& log) {
-  return [&log](std::size_t done, std::size_t total) {
-    if (!log.enabled(obs::LogLevel::Debug)) return;
-    log.debug("progress", "\"done\":" + std::to_string(done) +
-                              ",\"total\":" + std::to_string(total));
-  };
 }
 
 std::string usage_text(std::string_view prog,

@@ -35,14 +35,6 @@ struct FaultSweepConfig {
   std::uint64_t base_seed{0x4D696368u};  // "Mich"
   unsigned jobs{1};
   std::function<void(std::size_t, std::size_t)> progress;
-  /// Cell-store seam and cancellation flag, forwarded verbatim to the
-  /// expanded campaign (see CampaignConfig) — a sweep's (scenario, BER)
-  /// cells are content-addressed exactly like plain campaign cells.
-  CellStore* cells{nullptr};
-  const std::atomic<bool>* cancel{nullptr};
-  /// Request-trace sink (see CampaignConfig::spans) — telemetry only.
-  obs::SpanCollector* spans{nullptr};
-  std::uint64_t spans_parent{0};
 };
 
 /// One (scenario, BER) cell, distilled from the campaign aggregate.

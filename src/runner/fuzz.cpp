@@ -7,7 +7,6 @@
 
 #include "conformance/generator.hpp"
 #include "obs/jsonfmt.hpp"
-#include "runner/cell_codec.hpp"
 #include "runner/schemas.hpp"
 #include "runner/thread_pool.hpp"
 #include "sim/rng.hpp"
@@ -49,12 +48,7 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
   report.base_seed = cfg.base_seed;
   report.seeds = cfg.seeds;
   report.cases = cfg.cases;
-  report.cache_enabled = cfg.cells != nullptr;
   report.cells.resize(cfg.cases);
-
-  // Plan the cell set up front: identity and content-addressed cache key
-  // per case, before any work starts (same shape as plan_campaign()).
-  const std::uint64_t fuzz_hash = fuzz_cell_fingerprint();
   for (std::size_t index = 0; index < cfg.cases; ++index) {
     auto& cell = report.cells[index];
     cell.index = index;
@@ -69,49 +63,21 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
   report.jobs_used = pool.jobs();
 
   for (std::size_t index = 0; index < cfg.cases; ++index) {
-    pool.submit([&, index, fuzz_hash] {
+    pool.submit([&, index] {
       auto& cell = report.cells[index];
-      if (cfg.cancel != nullptr &&
-          cfg.cancel->load(std::memory_order_relaxed)) {
-        cell.cancelled = true;
-      } else {
-        CellKey key;
-        key.spec_hash = fuzz_hash;
-        key.seed = cell.derived_seed;
-        if (cfg.cells != nullptr) {
-          obs::SpanCollector::Scope probe{cfg.spans, "cell.probe", "cell",
-                                          cfg.spans_parent};
-          probe.set_track(1 + static_cast<int>(index));
-          if (const auto bytes = cfg.cells->fetch(key)) {
-            if (decode_fuzz_cell(*bytes, cell)) {
-              cell.cached = true;
-            } else {
-              cell.cache_corrupt = true;
-            }
-          }
-        }
-        if (!cell.cached) {
-          obs::SpanCollector::Scope compute{cfg.spans, "cell.compute", "cell",
-                                            cfg.spans_parent};
-          compute.set_track(1 + static_cast<int>(index));
-          try {
-            const auto c = conformance::generate_case(cell.derived_seed);
-            cell.kind = c.kind;
-            auto out = conformance::run_case(c);
-            cell.diverged = out.diverged;
-            cell.divergence = std::move(out.divergence);
-            cell.stats = out.stats;
-          } catch (const std::exception& e) {
-            cell.diverged = true;
-            cell.divergence = std::string{"exception: "} + e.what();
-          } catch (...) {
-            cell.diverged = true;
-            cell.divergence = "unknown exception";
-          }
-          if (cfg.cells != nullptr) {
-            cfg.cells->store(key, encode_fuzz_cell(cell));
-          }
-        }
+      try {
+        const auto c = conformance::generate_case(cell.derived_seed);
+        cell.kind = c.kind;
+        auto out = conformance::run_case(c);
+        cell.diverged = out.diverged;
+        cell.divergence = std::move(out.divergence);
+        cell.stats = out.stats;
+      } catch (const std::exception& e) {
+        cell.diverged = true;
+        cell.divergence = std::string{"exception: "} + e.what();
+      } catch (...) {
+        cell.diverged = true;
+        cell.divergence = "unknown exception";
       }
       std::lock_guard<std::mutex> lock{progress_mu};
       ++done;
@@ -121,15 +87,6 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
   pool.wait_idle();
 
   for (const auto& cell : report.cells) {
-    if (cell.cache_corrupt) ++report.cache_corrupt;
-    if (cell.cached) {
-      ++report.cache_hits;
-    } else if (cell.cancelled) {
-      ++report.cells_cancelled;
-      continue;
-    } else if (report.cache_enabled) {
-      ++report.cache_misses;
-    }
     report.kind_counts[static_cast<std::size_t>(cell.kind)] += 1;
     report.oracle_checked += cell.stats.oracle_checked ? 1 : 0;
     report.collision_skips += cell.stats.collision_skip ? 1 : 0;
@@ -140,8 +97,6 @@ FuzzReport run_fuzz(const FuzzConfig& cfg) {
   }
 
   // Shrink serially, in index order: deterministic regardless of jobs.
-  obs::SpanCollector::Scope shrink_span{cfg.spans, "shrink", "service",
-                                        cfg.spans_parent};
   for (const auto& cell : report.cells) {
     if (!cell.diverged) continue;
     FuzzDivergence div;
@@ -206,13 +161,7 @@ std::string to_json(const FuzzReport& report, JsonOptions opts) {
   os << "]";
   if (opts.include_runtime) {
     os << ",\"runtime\":{\"jobs\":" << report.jobs_used
-       << ",\"wall_ms\":" << fmt_double(report.wall_ms)
-       << ",\"cache\":{\"enabled\":"
-       << (report.cache_enabled ? "true" : "false")
-       << ",\"hits\":" << report.cache_hits
-       << ",\"misses\":" << report.cache_misses
-       << ",\"cancelled\":" << report.cells_cancelled
-       << ",\"corrupt\":" << report.cache_corrupt << "}}";
+       << ",\"wall_ms\":" << fmt_double(report.wall_ms) << "}";
   }
   os << "}\n";
   return os.str();

@@ -56,17 +56,6 @@ struct FuzzConfig {
   int max_shrink_tries{600};
   /// Serialized progress sink, called after every finished case.
   std::function<void(std::size_t, std::size_t)> progress;
-  /// Result-cache seam (see CampaignConfig::cells): each case's outcome is
-  /// content-addressed by (fuzz domain tag, derived seed, engine version)
-  /// and replayed on a warm rerun instead of re-simulating.  Shrinking of
-  /// diverging cases always recomputes — divergences are rare and the
-  /// repro artifacts must come from a live run.
-  CellStore* cells{nullptr};
-  /// Graceful-cancellation flag (see CampaignConfig::cancel).
-  const std::atomic<bool>* cancel{nullptr};
-  /// Request-trace sink (see CampaignConfig::spans) — telemetry only.
-  obs::SpanCollector* spans{nullptr};
-  std::uint64_t spans_parent{0};
 };
 
 /// Outcome of one fuzz case.
@@ -78,14 +67,6 @@ struct FuzzCellResult {
   bool diverged{false};
   std::string divergence;
   conformance::CaseStats stats;
-  /// Replayed from the cell store (runtime fact; the deterministic report
-  /// section is identical either way).
-  bool cached{false};
-  /// Fetched bytes failed to decode; the case was recomputed (runtime fact,
-  /// never encoded into the cell codec).
-  bool cache_corrupt{false};
-  /// Skipped by a cancellation request before it started.
-  bool cancelled{false};
 };
 
 /// A diverging case plus its minimized repro artifacts.
@@ -116,12 +97,6 @@ struct FuzzReport {
   // Runtime-only (never in the deterministic report section).
   unsigned jobs_used{};
   double wall_ms{};
-  bool cache_enabled{};
-  std::uint64_t cache_hits{};
-  std::uint64_t cache_misses{};
-  std::uint64_t cells_cancelled{};
-  /// Cases whose fetched bytes failed to decode and were recomputed.
-  std::uint64_t cache_corrupt{};
 };
 
 /// Run the fuzz campaign.  Throws std::invalid_argument on zero cases or an

@@ -127,7 +127,6 @@ std::string to_json(const CampaignReport& report, JsonOptions opts) {
        << (report.cache_enabled ? "true" : "false")
        << ",\"hits\":" << report.cache_hits
        << ",\"misses\":" << report.cache_misses
-       << ",\"cancelled\":" << report.cells_cancelled
        << ",\"corrupt\":" << report.cache_corrupt
        << "},\"task_wall_ms\":";
     put_summary(os, sim::summarize(task_wall));

@@ -26,7 +26,7 @@
 //                "counterattacks": <n>}],
 //     "runtime": {"jobs": <n>, "wall_ms": <f>,
 //                 "cache": {"enabled": <bool>, "hits": <n>, "misses": <n>,
-//                           "cancelled": <n>},
+//                           "corrupt": <n>},
 //                 "task_wall_ms": {summary},
 //                 "perf": {"phases": {"<phase>": {"calls","ms"}, ...},
 //                          "serialize_ms": <f>, "bits_simulated": <u64>,

@@ -22,7 +22,7 @@ bool ReportWriter::write(std::string_view text) const {
     std::cerr << "error: could not write " << path_ << "\n";
     return false;
   }
-  std::cout << kind_ << ": " << path_ << "\n";
+  std::cout << "JSON report: " << path_ << "\n";
   return true;
 }
 

@@ -4,10 +4,8 @@
 // write at flush/close time, and a destructor-time failure is silently
 // dropped — so a subcommand could exit 0 with no report on disk (/dev/full,
 // unwritable path).  The fix — flush *before* the stream check, print a
-// diagnostic, propagate a nonzero exit — had been re-implemented three
-// times (campaign, fault-sweep/fuzz via write_text_report, serve's cache
-// stats) before this class; ReportWriter is the single copy the fleet
-// report uses too.
+// diagnostic, propagate a nonzero exit — had been re-implemented per
+// subcommand before this class; ReportWriter is the single copy.
 #pragma once
 
 #include <string>
@@ -17,18 +15,16 @@ namespace mcan::runner {
 
 class ReportWriter {
  public:
-  /// `kind` labels the success note ("JSON report: PATH").  An empty path
-  /// makes the writer disabled: write() succeeds without touching disk,
-  /// so callers can write unconditionally and let --report's absence be a
-  /// no-op.
-  explicit ReportWriter(std::string path, std::string kind = "JSON report")
-      : path_(std::move(path)), kind_(std::move(kind)) {}
+  /// An empty path makes the writer disabled: write() succeeds without
+  /// touching disk, so callers can write unconditionally and let
+  /// --report's absence be a no-op.
+  explicit ReportWriter(std::string path) : path_(std::move(path)) {}
 
   [[nodiscard]] bool enabled() const noexcept { return !path_.empty(); }
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
   /// Write `text`, flushing before the stream check.  On success prints
-  /// "<kind>: <path>" to stdout and returns true; on failure prints
+  /// "JSON report: <path>" to stdout and returns true; on failure prints
   /// "error: could not write <path>" to stderr and returns false — the
   /// caller turns that into a nonzero exit.
   [[nodiscard]] bool write(std::string_view text) const;
@@ -41,7 +37,6 @@ class ReportWriter {
 
  private:
   std::string path_;
-  std::string kind_;
 };
 
 }  // namespace mcan::runner

@@ -1,12 +1,11 @@
 // Report schema identifiers, in one place.
 //
 // Every JSON document the project emits names its schema in a top-level
-// "schema" field; downstream tooling (CI byte-identity gates, the serve
-// client, dashboard scrapers) dispatches on these strings.  They used to
-// be string literals scattered across report.cpp, fault_sweep.cpp,
-// fuzz.cpp, server.cpp and the CLI — a typo in any one site silently
-// forked the format.  Emitters and parsers alike must reference these
-// constants.
+// "schema" field; downstream tooling (CI byte-identity gates, report
+// scrapers) dispatches on these strings.  They used to be string literals
+// scattered across report.cpp, fault_sweep.cpp, fuzz.cpp and the CLI — a
+// typo in any one site silently forked the format.  Emitters and parsers
+// alike must reference these constants.
 //
 // Versioning: bump the suffix (v1 -> v2) when a document's deterministic
 // section changes shape.  The runtime block may grow fields freely.
@@ -22,12 +21,5 @@ inline constexpr std::string_view kCampaignSchema = "michican.campaign.v1";
 inline constexpr std::string_view kFaultSweepSchema = "michican.fault_sweep.v1";
 /// Differential-fuzz report (runner::to_json(FuzzReport)).
 inline constexpr std::string_view kFuzzSchema = "michican.fuzz.v1";
-/// Serve daemon request/response envelope (serve::run_server and clients).
-inline constexpr std::string_view kServeSchema = "michican.serve.v1";
-/// Fleet campaign report (runner::to_json(FleetReport)).
-inline constexpr std::string_view kFleetSchema = "michican.fleet.v1";
-/// Fleet checkpoint manifest (runner::write_checkpoint).
-inline constexpr std::string_view kFleetCheckpointSchema =
-    "michican.fleet-checkpoint.v1";
 
 }  // namespace mcan::runner

@@ -1,13 +1,11 @@
 #include "serve/disk_store.hpp"
 
-#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
 #include <system_error>
-#include <vector>
 
 namespace mcan::serve {
 namespace {
@@ -72,8 +70,7 @@ std::optional<std::string> read_file(const std::filesystem::path& p) {
 
 }  // namespace
 
-DiskStore::DiskStore(std::filesystem::path dir, std::uint64_t cap_bytes)
-    : dir_(std::move(dir)), cap_bytes_(cap_bytes) {
+DiskStore::DiskStore(std::filesystem::path dir) : dir_(std::move(dir)) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   if (ec || !std::filesystem::is_directory(dir_)) {
@@ -81,14 +78,7 @@ DiskStore::DiskStore(std::filesystem::path dir, std::uint64_t cap_bytes)
                              dir_.string());
   }
 
-  // Index surviving entries, oldest mtime first so restart recency is
-  // roughly preserved; sweep stray temp files from a crashed store().
-  struct Found {
-    std::string id;
-    std::uint64_t bytes;
-    std::filesystem::file_time_type mtime;
-  };
-  std::vector<Found> found;
+  // Index surviving entries; sweep stray temp files from a crashed store().
   for (const auto& de : std::filesystem::directory_iterator{dir_, ec}) {
     const auto name = de.path().filename().string();
     if (name.size() > kTempSuffix.size() &&
@@ -116,51 +106,14 @@ DiskStore::DiskStore(std::filesystem::path dir, std::uint64_t cap_bytes)
       continue;
     }
     const std::uint64_t payload = size - header_min;  // refined on fetch
-    found.push_back({name.substr(0, name.size() - kEntrySuffix.size()),
-                     payload, de.last_write_time(ec)});
-  }
-  std::sort(found.begin(), found.end(),
-            [](const Found& a, const Found& b) { return a.mtime < b.mtime; });
-  for (auto& f : found) {
-    index_[f.id] = Entry{f.bytes, next_seq_++};
-    total_bytes_ += f.bytes;
+    index_[name.substr(0, name.size() - kEntrySuffix.size())] = payload;
+    stats_.bytes += payload;
   }
   stats_.entries = index_.size();
-  stats_.bytes = total_bytes_;
 }
 
 std::filesystem::path DiskStore::path_for(std::string_view id) const {
   return dir_ / (std::string{id} + std::string{kEntrySuffix});
-}
-
-void DiskStore::drop(const std::string& id, std::uint64_t counted_as_corrupt) {
-  std::error_code ec;
-  std::filesystem::remove(path_for(id), ec);
-  const auto it = index_.find(id);
-  if (it != index_.end()) {
-    total_bytes_ -= std::min(total_bytes_, it->second.bytes);
-    index_.erase(it);
-  }
-  stats_.corrupt += counted_as_corrupt;
-  stats_.entries = index_.size();
-  stats_.bytes = total_bytes_;
-}
-
-void DiskStore::evict_to_cap(const std::string& keep) {
-  if (cap_bytes_ == 0) return;
-  while (total_bytes_ > cap_bytes_ && index_.size() > 1) {
-    auto victim = index_.end();
-    for (auto it = index_.begin(); it != index_.end(); ++it) {
-      if (it->first == keep) continue;
-      if (victim == index_.end() || it->second.seq < victim->second.seq) {
-        victim = it;
-      }
-    }
-    if (victim == index_.end()) break;
-    const std::string id = victim->first;
-    drop(id, 0);
-    ++stats_.evictions;
-  }
 }
 
 std::optional<std::string> DiskStore::fetch(const runner::CellKey& key) {
@@ -180,20 +133,20 @@ std::optional<std::string> DiskStore::fetch(const runner::CellKey& key) {
       payload_hash(std::string_view{*file}.substr(offset)) != hash) {
     // Torn, truncated, or rotted: discard and report a miss so the caller
     // recomputes.  Never serve bytes that fail their own hash.
-    drop(id, 1);
+    std::error_code ec;
+    std::filesystem::remove(path_for(id), ec);
+    stats_.bytes -= it->second;
+    index_.erase(it);
+    stats_.entries = index_.size();
+    ++stats_.corrupt;
     ++stats_.misses;
     return std::nullopt;
   }
-  // True payload length may differ from the startup mtime-scan estimate;
-  // fix the accounting on first touch.
-  if (it->second.bytes != len) {
-    total_bytes_ -= std::min(total_bytes_, it->second.bytes);
-    total_bytes_ += len;
-    it->second.bytes = len;
-  }
-  it->second.seq = next_seq_++;
+  // True payload length may differ from the startup scan's estimate; fix
+  // the accounting on first touch.
+  stats_.bytes = stats_.bytes - it->second + len;
+  it->second = len;
   ++stats_.hits;
-  stats_.bytes = total_bytes_;
   return file->substr(offset);
 }
 
@@ -224,19 +177,11 @@ void DiskStore::store(const runner::CellKey& key, std::string_view bytes) {
     return;
   }
 
-  const auto it = index_.find(id);
-  if (it != index_.end()) {
-    total_bytes_ -= std::min(total_bytes_, it->second.bytes);
-    it->second.bytes = bytes.size();
-    it->second.seq = next_seq_++;
-  } else {
-    index_[id] = Entry{bytes.size(), next_seq_++};
-  }
-  total_bytes_ += bytes.size();
-  ++stats_.stores;
-  evict_to_cap(id);
+  auto& held = index_[id];
+  stats_.bytes = stats_.bytes - held + bytes.size();
+  held = bytes.size();
   stats_.entries = index_.size();
-  stats_.bytes = total_bytes_;
+  ++stats_.stores;
 }
 
 runner::CellStore::Stats DiskStore::stats() const {

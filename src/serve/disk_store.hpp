@@ -1,4 +1,5 @@
-// On-disk content-addressed cell cache backing `michican_cli serve`.
+// On-disk content-addressed cell cache backing `michican_cli campaign
+// --cache-dir` (and perfbench's cache-replay workload).
 //
 // Layout: one file per cell under the cache directory, named "<key id>.cell"
 // (the CellKey::id() content address — spec hash, derived seed, engine
@@ -14,15 +15,11 @@
 //
 // Writes go through a temp file + rename() in the same directory, so a
 // reader can never observe a half-written entry and a crash mid-store
-// leaves at most a stray ".tmp" file (swept at startup).
+// leaves at most a stray ".tmp" file (swept at startup).  A run killed
+// part-way therefore resumes from every cell it finished.
 //
-// Eviction: size-capped LRU over payload bytes.  The store keeps an
-// in-memory recency index (monotonic sequence numbers, seeded from file
-// mtimes at startup so recency survives restarts approximately); when a
-// store() pushes the total over the cap, least-recently-used entries are
-// deleted until it fits — except the entry just stored, which is always
-// kept even if it alone exceeds the cap (evicting your own write would
-// livelock a cache smaller than one cell).
+// The store never evicts: entries are small (a few KiB per cell) and keyed
+// by engine version, so clearing a stale cache is `rm -r DIR`.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +37,9 @@ namespace mcan::serve {
 class DiskStore final : public runner::CellStore {
  public:
   /// Opens (creating if needed) the cache directory and indexes existing
-  /// entries.  `cap_bytes` caps total *payload* bytes; 0 = unlimited.
-  /// Throws std::runtime_error if the directory cannot be created.
-  explicit DiskStore(std::filesystem::path dir, std::uint64_t cap_bytes = 0);
+  /// entries.  Throws std::runtime_error if the directory cannot be
+  /// created.
+  explicit DiskStore(std::filesystem::path dir);
 
   [[nodiscard]] std::optional<std::string> fetch(
       const runner::CellKey& key) override;
@@ -52,25 +49,12 @@ class DiskStore final : public runner::CellStore {
   [[nodiscard]] const std::filesystem::path& dir() const { return dir_; }
 
  private:
-  struct Entry {
-    std::uint64_t bytes{};  // payload length
-    std::uint64_t seq{};    // recency: larger = more recently used
-  };
-
   [[nodiscard]] std::filesystem::path path_for(std::string_view id) const;
-  /// Drop one entry from disk and the index (lock held).
-  void drop(const std::string& id, std::uint64_t counted_as_corrupt);
-  /// Evict LRU entries until total payload fits the cap (lock held);
-  /// `keep` is never evicted.
-  void evict_to_cap(const std::string& keep);
 
   std::filesystem::path dir_;
-  std::uint64_t cap_bytes_;
 
   mutable std::mutex mu_;
-  std::map<std::string, Entry> index_;  // key id -> entry
-  std::uint64_t total_bytes_{0};
-  std::uint64_t next_seq_{1};
+  std::map<std::string, std::uint64_t> index_;  // key id -> payload bytes
   Stats stats_;
 };
 

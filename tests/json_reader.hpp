@@ -1,100 +1,68 @@
-#include "serve/wire.hpp"
+// Test-only JSON reader: a small recursive-descent parser (objects, arrays,
+// strings with escapes, numbers, bools, null) so tests can check the
+// structure of the JSON documents the library emits (Chrome traces,
+// reports) instead of grepping substrings.  Numbers are doubles plus a
+// faithful u64 view for seeds; not a general-purpose JSON library.
+#pragma once
 
 #include <cerrno>
-#include <cstring>
+#include <cstdint>
+#include <cstdlib>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
-#include <sys/socket.h>
-#include <sys/types.h>
-#include <unistd.h>
+namespace mcan::test {
 
-namespace mcan::serve {
-namespace {
+/// Parsed JSON value (tagged union, value semantics).
+struct JsonValue {
+  enum class Kind { Null, Bool, Number, String, Array, Object };
 
-bool write_all(int fd, const char* data, std::size_t len) {
-  while (len > 0) {
-    // MSG_NOSIGNAL: a peer that went away must surface as EPIPE, not kill
-    // the daemon with SIGPIPE.
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
+  Kind kind{Kind::Null};
+  bool boolean{};
+  double number{};
+  /// Exact unsigned view of an integer literal (seeds exceed a double's
+  /// 53-bit integer range); valid when `has_u64`.
+  std::uint64_t u64{};
+  bool has_u64{};
+  std::string string;
+  std::vector<JsonValue> array;
+  std::vector<std::pair<std::string, JsonValue>> object;  // insertion order
+
+  /// Object member lookup; nullptr when absent or not an object.
+  [[nodiscard]] const JsonValue* find(std::string_view key) const {
+    if (kind != Kind::Object) return nullptr;
+    for (const auto& [k, v] : object) {
+      if (k == key) return &v;
     }
-    data += n;
-    len -= static_cast<std::size_t>(n);
+    return nullptr;
   }
-  return true;
-}
 
-bool read_all(int fd, char* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::recv(fd, data, len, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;  // EOF mid-frame
-    data += n;
-    len -= static_cast<std::size_t>(n);
+  // Typed getters returning the fallback on kind mismatch.
+  [[nodiscard]] std::string_view get_string(
+      std::string_view fallback = {}) const {
+    return kind == Kind::String ? std::string_view{string} : fallback;
   }
-  return true;
-}
-
-}  // namespace
-
-bool send_frame(int fd, std::string_view payload) {
-  if (payload.size() > kMaxFrame) return false;
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  const char header[4] = {
-      static_cast<char>(len >> 24), static_cast<char>(len >> 16),
-      static_cast<char>(len >> 8), static_cast<char>(len)};
-  return write_all(fd, header, sizeof(header)) &&
-         write_all(fd, payload.data(), payload.size());
-}
-
-std::optional<std::string> recv_frame(int fd) {
-  char header[4];
-  if (!read_all(fd, header, sizeof(header))) return std::nullopt;
-  std::uint32_t len = 0;
-  for (const char c : header) {
-    len = (len << 8) | static_cast<unsigned char>(c);
+  [[nodiscard]] std::uint64_t get_u64(std::uint64_t fallback = 0) const {
+    if (kind != Kind::Number) return fallback;
+    if (has_u64) return u64;
+    return number >= 0 ? static_cast<std::uint64_t>(number) : fallback;
   }
-  if (len > kMaxFrame) return std::nullopt;
-  std::string payload(len, '\0');
-  if (len > 0 && !read_all(fd, payload.data(), len)) return std::nullopt;
-  return payload;
-}
-
-const JsonValue* JsonValue::find(std::string_view key) const {
-  if (kind != Kind::Object) return nullptr;
-  for (const auto& [k, v] : object) {
-    if (k == key) return &v;
+  [[nodiscard]] double get_number(double fallback = 0) const {
+    return kind == Kind::Number ? number : fallback;
   }
-  return nullptr;
-}
+  [[nodiscard]] bool get_bool(bool fallback = false) const {
+    return kind == Kind::Bool ? boolean : fallback;
+  }
+};
 
-std::string_view JsonValue::get_string(std::string_view fallback) const {
-  return kind == Kind::String ? std::string_view{string} : fallback;
-}
+namespace detail {
 
-std::uint64_t JsonValue::get_u64(std::uint64_t fallback) const {
-  if (kind != Kind::Number) return fallback;
-  if (has_u64) return u64;
-  return number >= 0 ? static_cast<std::uint64_t>(number) : fallback;
-}
-
-double JsonValue::get_number(double fallback) const {
-  return kind == Kind::Number ? number : fallback;
-}
-
-bool JsonValue::get_bool(bool fallback) const {
-  return kind == Kind::Bool ? boolean : fallback;
-}
-
-namespace {
-
-/// Recursive-descent protocol JSON parser.  Depth-limited: protocol
-/// messages are shallow, and the limit keeps hostile nesting from
-/// exhausting the stack.
+/// Recursive-descent JSON parser.  Depth-limited: the documents under
+/// test are shallow, and the limit keeps hostile nesting from exhausting
+/// the stack.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
@@ -239,8 +207,8 @@ class Parser {
               return false;
             }
           }
-          // UTF-8 encode the BMP code point; the protocol's own emitter
-          // only \u-escapes control characters, so no surrogate handling.
+          // UTF-8 encode the BMP code point; the repo's own emitters only
+          // \u-escape control characters, so no surrogate handling.
           if (cp < 0x80) {
             out += static_cast<char>(cp);
           } else if (cp < 0x800) {
@@ -299,43 +267,12 @@ class Parser {
   std::size_t pos_{0};
 };
 
-}  // namespace
+}  // namespace detail
 
-std::optional<JsonValue> parse_json(std::string_view text) {
-  return Parser{text}.run();
+/// Parse a complete JSON document; nullopt on any syntax error or
+/// trailing garbage.
+inline std::optional<JsonValue> parse_json(std::string_view text) {
+  return detail::Parser{text}.run();
 }
 
-std::string extract_object(std::string_view doc, std::string_view key) {
-  std::string needle{"\""};
-  needle += key;
-  needle += "\":";
-  const auto at = doc.find(needle);
-  if (at == std::string_view::npos) return {};
-  std::size_t i = at + needle.size();
-  while (i < doc.size() && (doc[i] == ' ' || doc[i] == '\t')) ++i;
-  if (i >= doc.size() || doc[i] != '{') return {};
-  const std::size_t start = i;
-  int depth = 0;
-  bool in_string = false;
-  for (; i < doc.size(); ++i) {
-    const char c = doc[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;  // skip the escaped character
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      if (--depth == 0) return std::string{doc.substr(start, i - start + 1)};
-    }
-  }
-  return {};
-}
-
-}  // namespace mcan::serve
+}  // namespace mcan::test

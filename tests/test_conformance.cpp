@@ -221,13 +221,14 @@ TEST(Generator, DeterministicAndWellFormed) {
 }
 
 TEST(Generator, CoversAllCaseKinds) {
-  bool seen[3] = {false, false, false};
+  bool seen[4] = {false, false, false, false};
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     seen[static_cast<std::size_t>(generate_case(seed).kind)] = true;
   }
   EXPECT_TRUE(seen[0]) << "no Clean case in 100 seeds";
   EXPECT_TRUE(seen[1]) << "no ScheduledFlip case in 100 seeds";
   EXPECT_TRUE(seen[2]) << "no Noisy case in 100 seeds";
+  EXPECT_TRUE(seen[3]) << "no Batched case in 100 seeds";
 }
 
 // ---------------------------------------------------------------------------

@@ -1,165 +1,20 @@
-// Service-observability layer: structured JSONL logging (level filter,
-// flush-per-line, size-capped rotation), request tracing (trace ids, span
-// scopes, Chrome-trace export and splicing), histogram quantiles, the
-// Prometheus text exposition — and the invariant the whole layer hangs on:
-// attaching telemetry never changes a report's deterministic bytes.
+// Span tracing and the telemetry invariant it hangs on: trace ids, span
+// scopes, Chrome-trace export, histogram quantiles — and attaching a span
+// collector never changes a report's deterministic bytes.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 
-#include <unistd.h>
-
 #include "analysis/scenarios.hpp"
-#include "obs/log.hpp"
+#include "json_reader.hpp"
 #include "obs/metrics.hpp"
-#include "obs/prom.hpp"
 #include "obs/trace_context.hpp"
 #include "runner/campaign.hpp"
-#include "runner/cli.hpp"
-#include "runner/fuzz.hpp"
 #include "runner/report.hpp"
-#include "serve/wire.hpp"
 
 namespace {
 
 using namespace mcan;
-namespace fs = std::filesystem;
-
-fs::path scratch_dir(const std::string& tag) {
-  const auto dir = fs::temp_directory_path() /
-                   ("michican_obs_" + tag + "_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
-std::vector<std::string> read_lines(const fs::path& p) {
-  std::ifstream in{p};
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  return lines;
-}
-
-// ----------------------------------------------------------------- log --
-
-TEST(Log, WritesOneParsableJsonObjectPerLine) {
-  const auto dir = scratch_dir("jsonl");
-  const auto path = (dir / "serve.jsonl").string();
-  {
-    obs::Log log{{obs::LogLevel::Debug, path, 0}};
-    log.info("listening", "\"socket\":\"/tmp/x.sock\",\"entries\":3");
-    log.debug("progress", "\"done\":1,\"total\":2");
-    log.error("request_failed");
-    EXPECT_EQ(log.lines_written(), 3u);
-  }
-  const auto lines = read_lines(path);
-  ASSERT_EQ(lines.size(), 3u);
-  for (const auto& line : lines) {
-    const auto v = serve::parse_json(line);
-    ASSERT_TRUE(v.has_value()) << line;
-    EXPECT_NE(v->find("ts"), nullptr);
-    EXPECT_NE(v->find("mono_us"), nullptr);
-    EXPECT_NE(v->find("level"), nullptr);
-    EXPECT_NE(v->find("event"), nullptr);
-  }
-  const auto first = serve::parse_json(lines[0]);
-  EXPECT_EQ(first->find("event")->get_string(), "listening");
-  EXPECT_EQ(first->find("socket")->get_string(), "/tmp/x.sock");
-  EXPECT_EQ(first->find("entries")->get_u64(), 3u);
-  // Wall timestamp is ISO-8601 UTC with milliseconds.
-  const std::string ts{first->find("ts")->get_string()};
-  EXPECT_EQ(ts.size(), 24u);
-  EXPECT_EQ(ts.back(), 'Z');
-  EXPECT_EQ(ts[10], 'T');
-  fs::remove_all(dir);
-}
-
-TEST(Log, LevelFilterDropsBelowThreshold) {
-  const auto dir = scratch_dir("level");
-  const auto path = (dir / "log.jsonl").string();
-  {
-    obs::Log log{{obs::LogLevel::Warn, path, 0}};
-    EXPECT_FALSE(log.enabled(obs::LogLevel::Debug));
-    EXPECT_FALSE(log.enabled(obs::LogLevel::Info));
-    EXPECT_TRUE(log.enabled(obs::LogLevel::Warn));
-    EXPECT_TRUE(log.enabled(obs::LogLevel::Fatal));
-    log.debug("dropped");
-    log.info("dropped");
-    log.warn("kept");
-    log.fatal("kept");
-    EXPECT_EQ(log.lines_written(), 2u);
-  }
-  EXPECT_EQ(read_lines(path).size(), 2u);
-  fs::remove_all(dir);
-}
-
-TEST(Log, LinesAreVisibleBeforeClose) {
-  // The serve-log satellite fix: lines must hit the file as they are
-  // written, not at destructor time — a crashed daemon keeps its tail.
-  const auto dir = scratch_dir("flush");
-  const auto path = (dir / "log.jsonl").string();
-  obs::Log log{{obs::LogLevel::Info, path, 0}};
-  log.info("first");
-  EXPECT_EQ(read_lines(path).size(), 1u);  // log still open
-  log.fatal("last");                       // also fsync()ed
-  EXPECT_EQ(read_lines(path).size(), 2u);
-  fs::remove_all(dir);
-}
-
-TEST(Log, RotatesToBoundedTwoFileFootprint) {
-  const auto dir = scratch_dir("rotate");
-  const auto path = (dir / "log.jsonl").string();
-  obs::Log log{{obs::LogLevel::Info, path, 512}};
-  for (int i = 0; i < 64; ++i) {
-    log.info("filler", "\"i\":" + std::to_string(i));
-  }
-  EXPECT_GT(log.rotations(), 0u);
-  ASSERT_TRUE(fs::exists(path));
-  ASSERT_TRUE(fs::exists(path + ".1"));
-  // Only ever two files, each bounded by roughly the cap plus one line.
-  EXPECT_LT(fs::file_size(path), 1024u);
-  EXPECT_LT(fs::file_size(path + ".1"), 1024u);
-  // Every surviving line is still valid JSONL (rotation never tears one).
-  for (const auto& line : read_lines(path + ".1")) {
-    EXPECT_TRUE(serve::parse_json(line).has_value()) << line;
-  }
-  fs::remove_all(dir);
-}
-
-TEST(Log, EscapesEventText) {
-  const auto dir = scratch_dir("escape");
-  const auto path = (dir / "log.jsonl").string();
-  {
-    obs::Log log{{obs::LogLevel::Info, path, 0}};
-    log.info("quote\"back\\slash\nline");
-  }
-  const auto lines = read_lines(path);
-  ASSERT_EQ(lines.size(), 1u);
-  const auto v = serve::parse_json(lines[0]);
-  ASSERT_TRUE(v.has_value()) << lines[0];
-  EXPECT_EQ(v->find("event")->get_string(), "quote\"back\\slash\nline");
-  fs::remove_all(dir);
-}
-
-TEST(Log, ThrowsOnUnopenablePathAndParsesLevels) {
-  EXPECT_THROW(obs::Log({obs::LogLevel::Info,
-                         "/nonexistent_michican_dir/log.jsonl", 0}),
-               std::runtime_error);
-  for (const auto level :
-       {obs::LogLevel::Debug, obs::LogLevel::Info, obs::LogLevel::Warn,
-        obs::LogLevel::Error, obs::LogLevel::Fatal}) {
-    const auto parsed = obs::parse_log_level(obs::to_string(level));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, level);
-  }
-  EXPECT_FALSE(obs::parse_log_level("verbose").has_value());
-  EXPECT_FALSE(obs::parse_log_level("").has_value());
-  EXPECT_FALSE(obs::parse_log_level("INFO").has_value());  // case-sensitive
-}
 
 // --------------------------------------------------------------- trace --
 
@@ -191,15 +46,8 @@ TEST(TraceId, BuilderIsDeterministicAndOrderSensitive) {
 
 TEST(TraceId, Hex16RoundTrips) {
   EXPECT_EQ(obs::hex16(0xDEADBEEFull), "00000000deadbeef");
-  EXPECT_EQ(obs::parse_hex16("00000000deadbeef").value_or(0), 0xDEADBEEFull);
-  EXPECT_EQ(obs::parse_hex16(obs::hex16(0)).value_or(1), 0u);
-  for (const std::uint64_t v : {1ull, 0x123456789ABCDEFull, ~0ull}) {
-    EXPECT_EQ(obs::parse_hex16(obs::hex16(v)).value_or(0), v);
-  }
-  EXPECT_FALSE(obs::parse_hex16("deadbeef").has_value());  // too short
-  EXPECT_FALSE(obs::parse_hex16("00000000deadbeefX").has_value());
-  EXPECT_FALSE(obs::parse_hex16("0000000gdeadbeef").has_value());
-  EXPECT_FALSE(obs::parse_hex16("").has_value());
+  EXPECT_EQ(obs::hex16(0), "0000000000000000");
+  EXPECT_EQ(obs::hex16(~0ull), "ffffffffffffffff");
 }
 
 TEST(SpanCollector, ScopesRecordNestedSpansWithParentLinkage) {
@@ -246,7 +94,7 @@ TEST(SpanCollector, ChromeTraceCarriesOneTraceIdAcrossEveryEvent) {
     cell.set_track(1);
   }
   const auto doc = spans.to_chrome_trace();
-  const auto v = serve::parse_json(doc);
+  const auto v = test::parse_json(doc);
   ASSERT_TRUE(v.has_value()) << doc;
   EXPECT_EQ(v->find("otherData")->find("trace_id")->get_string(),
             "00000000deadbeef");
@@ -263,35 +111,6 @@ TEST(SpanCollector, ChromeTraceCarriesOneTraceIdAcrossEveryEvent) {
   // Track metadata names the service track and the numbered cell track.
   EXPECT_NE(doc.find("\"service\""), std::string::npos);
   EXPECT_NE(doc.find("\"cell 0\""), std::string::npos);
-}
-
-TEST(SpanCollector, SpliceInsertsServiceSpansAboveSimTracks) {
-  obs::SpanCollector sim_side{0x1ull};
-  { obs::SpanCollector::Scope s{&sim_side, "bit", "sim"}; }
-  // The sim trace document and the marker the splice targets come from the
-  // same envelope shape every trace writer in the repo emits.
-  const auto sim_doc = sim_side.to_chrome_trace(0);
-
-  obs::SpanCollector service{0x2ull};
-  { obs::SpanCollector::Scope s{&service, "request", "service"}; }
-  const auto spliced =
-      obs::splice_into_chrome_trace(sim_doc, service.to_chrome_events(1));
-  const auto v = serve::parse_json(spliced);
-  ASSERT_TRUE(v.has_value()) << spliced;
-  bool saw_pid0 = false;
-  bool saw_pid1 = false;
-  for (const auto& ev : v->find("traceEvents")->array) {
-    const auto pid = ev.find("pid")->get_u64();
-    saw_pid0 |= pid == 0;
-    saw_pid1 |= pid == 1;
-  }
-  EXPECT_TRUE(saw_pid0);
-  EXPECT_TRUE(saw_pid1);
-
-  // No events or no marker: the document passes through untouched.
-  EXPECT_EQ(obs::splice_into_chrome_trace(sim_doc, ""), sim_doc);
-  EXPECT_EQ(obs::splice_into_chrome_trace("{\"no\":\"marker\"}", "x"),
-            "{\"no\":\"marker\"}");
 }
 
 // ------------------------------------------------------------ quantile --
@@ -313,80 +132,6 @@ TEST(Histogram, QuantileInterpolatesWithinBuckets) {
   EXPECT_NEAR(h.quantile(1.0), 40.0, 1e-9);
 }
 
-// ---------------------------------------------------------------- prom --
-
-TEST(Prom, MetricNamesAreSanitized) {
-  EXPECT_EQ(obs::prom_metric_name("serve.request_ms"), "serve_request_ms");
-  EXPECT_EQ(obs::prom_metric_name("serve.request_ms", "michican"),
-            "michican_serve_request_ms");
-  EXPECT_EQ(obs::prom_metric_name("bus-load %"), "bus_load__");
-  EXPECT_EQ(obs::prom_metric_name("7seg"), "_7seg");  // leading digit
-}
-
-TEST(Prom, LabelValuesAreEscaped) {
-  EXPECT_EQ(obs::prom_escape_label_value("plain"), "plain");
-  EXPECT_EQ(obs::prom_escape_label_value("a\"b\\c\nd"),
-            "a\\\"b\\\\c\\nd");
-}
-
-TEST(Prom, RenderEmitsTypedSamplesWithLabels) {
-  obs::Registry reg;
-  reg.counter("serve.requests") = 7;
-  reg.gauge("serve.queue_depth") = 3;
-  const auto text = obs::prom_render(
-      reg, "michican", {{"socket", "/tmp/a\"b.sock"}});
-  EXPECT_NE(text.find("# TYPE michican_serve_requests counter\n"),
-            std::string::npos);
-  EXPECT_NE(
-      text.find("michican_serve_requests{socket=\"/tmp/a\\\"b.sock\"} 7\n"),
-      std::string::npos);
-  EXPECT_NE(text.find("# TYPE michican_serve_queue_depth gauge\n"),
-            std::string::npos);
-  EXPECT_NE(
-      text.find("michican_serve_queue_depth{socket=\"/tmp/a\\\"b.sock\"} 3\n"),
-      std::string::npos);
-  EXPECT_TRUE(obs::prom_render(obs::Registry{}).empty());
-}
-
-TEST(Prom, HistogramBucketsAreCumulativeAndEndAtInf) {
-  obs::Registry reg;
-  auto& h = reg.histogram("serve.request_ms", {1.0, 10.0, 100.0});
-  h.observe(0.5);
-  h.observe(5.0);
-  h.observe(5.0);
-  h.observe(50.0);
-  h.observe(5000.0);  // overflow
-  const auto text = obs::prom_render(reg, "michican");
-  EXPECT_NE(text.find("# TYPE michican_serve_request_ms histogram\n"),
-            std::string::npos);
-
-  // Parse the bucket series back out and check cumulative monotonicity.
-  std::istringstream in{text};
-  std::string line;
-  std::vector<double> cumulative;
-  double count = -1;
-  double inf_bucket = -1;
-  while (std::getline(in, line)) {
-    if (line.rfind("michican_serve_request_ms_bucket{le=\"+Inf\"}", 0) == 0) {
-      inf_bucket = std::stod(line.substr(line.rfind(' ')));
-    } else if (line.rfind("michican_serve_request_ms_bucket", 0) == 0) {
-      cumulative.push_back(std::stod(line.substr(line.rfind(' '))));
-    } else if (line.rfind("michican_serve_request_ms_count", 0) == 0) {
-      count = std::stod(line.substr(line.rfind(' ')));
-    }
-  }
-  ASSERT_EQ(cumulative.size(), 3u);  // one per finite bound
-  EXPECT_EQ(cumulative[0], 1);
-  EXPECT_EQ(cumulative[1], 3);
-  EXPECT_EQ(cumulative[2], 4);
-  for (std::size_t i = 1; i < cumulative.size(); ++i) {
-    EXPECT_GE(cumulative[i], cumulative[i - 1]);
-  }
-  EXPECT_EQ(inf_bucket, 5);
-  EXPECT_EQ(count, 5);  // +Inf bucket == _count, the promtool invariant
-  EXPECT_NE(text.find("michican_serve_request_ms_sum"), std::string::npos);
-}
-
 // ------------------------------------------------- telemetry neutrality --
 
 analysis::ExperimentSpec tiny_spec() {
@@ -395,39 +140,20 @@ analysis::ExperimentSpec tiny_spec() {
   return spec;
 }
 
-TEST(TelemetryNeutrality, CampaignReportBytesIgnoreSpansAndLogging) {
+TEST(TelemetryNeutrality, CampaignReportBytesIgnoreSpans) {
   runner::CampaignConfig plain;
   plain.specs = {tiny_spec()};
   plain.seeds = {0, 2};
   plain.jobs = 2;
   const auto baseline = runner::to_json(runner::run_campaign(plain));
 
-  const auto dir = scratch_dir("neutral");
-  obs::Log log{{obs::LogLevel::Debug, (dir / "log.jsonl").string(), 0}};
   obs::SpanCollector spans{0x5EEDull};
   auto traced = plain;
   traced.spans = &spans;
-  traced.progress = runner::log_progress(log);
   const auto rep = runner::run_campaign(traced);
 
   EXPECT_EQ(runner::to_json(rep), baseline);  // byte-identical
   EXPECT_GT(spans.span_count(), 0u);          // telemetry actually ran
-  EXPECT_GT(log.lines_written(), 0u);
-  fs::remove_all(dir);
-}
-
-TEST(TelemetryNeutrality, FuzzReportBytesIgnoreSpans) {
-  runner::FuzzConfig plain;
-  plain.cases = 8;
-  plain.seeds = {0, 2};
-  plain.jobs = 2;
-  const auto baseline = runner::to_json(runner::run_fuzz(plain), {});
-
-  obs::SpanCollector spans{0xF00Dull};
-  auto traced = plain;
-  traced.spans = &spans;
-  EXPECT_EQ(runner::to_json(runner::run_fuzz(traced), {}), baseline);
-  EXPECT_GT(spans.span_count(), 0u);
 }
 
 }  // namespace

@@ -166,6 +166,17 @@ TEST(RunnerCli, ParsesAndStripsFlags) {
   EXPECT_STREQ(argv[1], "campaign");
   EXPECT_STREQ(argv[2], "5");
   EXPECT_EQ(argv[3], nullptr);
+
+  // A --jobs value past unsigned must be rejected, not wrapped: 2^32 + 1
+  // would run one worker and 2^32 every core.
+  for (const char* jobs : {"4294967297", "4294967296"}) {
+    const char* big[] = {"prog", "--jobs", jobs, nullptr};
+    char* big_argv[4];
+    for (int i = 0; i < 4; ++i) big_argv[i] = const_cast<char*>(big[i]);
+    int big_argc = 3;
+    EXPECT_THROW((void)parse_cli(big_argc, big_argv), std::invalid_argument)
+        << jobs;
+  }
 }
 
 TEST(RunnerCli, SeedRangeForms) {
