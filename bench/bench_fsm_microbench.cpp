@@ -132,6 +132,37 @@ void BM_BusStepPerNode(benchmark::State& state) {
 }
 BENCHMARK(BM_BusStepPerNode)->Arg(4)->Arg(16)->Arg(64);
 
+void BM_FsmBuild(benchmark::State& state) {
+  sim::Rng rng{42};
+  std::vector<can::CanId> ids;
+  for (int i = 0; i < state.range(0); ++i) {
+    ids.push_back(static_cast<can::CanId>(rng.uniform(0, can::kMaxStdId)));
+  }
+  const core::IvnConfig ivn{ids};
+  for (auto _ : state) {
+    auto fsm = core::DetectionFsm::build(ivn.detection_ranges(ivn.highest()));
+    benchmark::DoNotOptimize(fsm);
+  }
+}
+BENCHMARK(BM_FsmBuild)->Arg(8)->Arg(32)->Arg(128)->Arg(600);
+
+void BM_FsmDecide(benchmark::State& state) {
+  sim::Rng rng{42};
+  std::vector<can::CanId> ids;
+  for (int i = 0; i < 64; ++i) {
+    ids.push_back(static_cast<can::CanId>(rng.uniform(0, can::kMaxStdId)));
+  }
+  const core::IvnConfig ivn{ids};
+  const auto fsm =
+      core::DetectionFsm::build(ivn.detection_ranges(ivn.highest()));
+  can::CanId id = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fsm.decide(id));
+    id = (id + 1) & can::kMaxStdId;
+  }
+}
+BENCHMARK(BM_FsmDecide);
+
 void BM_MonitorBit(benchmark::State& state) {
   const core::IvnConfig ivn{
       restbus::vehicle_matrix(restbus::Vehicle::D, 1).ecu_ids()};

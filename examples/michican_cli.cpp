@@ -11,7 +11,6 @@
 // resolve through analysis::ScenarioRegistry, the same registry
 // `list-scenarios` enumerates and bench_throughput draws from, so a name
 // means the same spec everywhere.
-#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "analysis/experiments.hpp"
-#include "analysis/latency.hpp"
 #include "analysis/scenarios.hpp"
 #include "analysis/table.hpp"
 #include "obs/timeline.hpp"
@@ -37,6 +35,7 @@
 #include "runner/fuzz.hpp"
 #include "runner/report.hpp"
 #include "runner/report_writer.hpp"
+#include "runner/reproduce.hpp"
 #include "serve/disk_store.hpp"
 
 namespace {
@@ -426,40 +425,23 @@ int cmd_trace(const runner::CliOptions& opts,
   return write_trace_outputs(res, out_path, jsonl_path);
 }
 
-int cmd_sweep(const runner::CliOptions& opts,
-              const std::vector<std::string>& args) {
-  const int max_attackers =
-      args.empty() ? 4 : runner::parse_int_arg(args[0], 1, 16, "max_attackers");
-  analysis::AsciiTable t{{"Attackers", "Total bus-off (bits)", "ms @50k"}};
-  const sim::BusSpeed speed{50'000};
-  for (int a = 1; a <= max_attackers; ++a) {
-    auto spec = analysis::multi_attacker_spec(a);
-    spec.duration = sim::Millis{3000};
-    spec.fast_path = opts.fast_path;
-    const auto res = analysis::run_experiment(spec);
-    t.add_row({std::to_string(a), fmt(res.first_cycle_total_bits, 0),
-               fmt(speed.bits_to_ms(res.first_cycle_total_bits), 1)});
+int cmd_reproduce(const runner::CliOptions& opts,
+                  const std::vector<std::string>& args) {
+  if (!args.empty()) {
+    throw std::invalid_argument("reproduce: unexpected argument '" +
+                                args.front() + "'");
   }
-  t.print(std::cout, "Multi-attacker sweep:");
-  return 0;
-}
-
-int cmd_latency(const runner::CliOptions&,
-                const std::vector<std::string>& args) {
-  const int num_fsms =
-      args.empty() ? 10'000
-                   : runner::parse_int_arg(args[0], 1, 10'000'000, "num_fsms");
-  analysis::LatencyStudyConfig cfg;
-  cfg.num_fsms = num_fsms;
-  cfg.verify_fsms = std::min(num_fsms, 200);
-  const auto res = analysis::run_latency_study(cfg);
-  std::cout << "FSMs: " << res.fsms_built
-            << ", mean detection bit: " << fmt(res.mean_detection_bit, 2)
-            << ", detection rate: "
-            << analysis::fmt_pct(res.detection_rate, 2)
-            << ", false positives: "
-            << analysis::fmt_pct(res.false_positive_rate, 2) << "\n";
-  return 0;
+  // Like fuzz, it ignores --no-fast-path (the engine tiers are
+  // byte-identical by the equivalence gates) and --trace-out.
+  runner::ReproduceConfig cfg;
+  cfg.seeds = opts.seeds;
+  cfg.jobs = opts.jobs;
+  if (opts.progress) cfg.progress = runner::print_progress;
+  const auto rep = runner::run_reproduce(cfg);
+  std::cout << runner::format_table(rep);
+  const ReportWriter report{opts.report_path};
+  if (!report.write(runner::to_json(rep))) return 1;
+  return rep.failed() == 0 ? 0 : 1;
 }
 
 int cmd_rta(const runner::CliOptions&, const std::vector<std::string>& args) {
@@ -529,8 +511,11 @@ int main(int argc, char** argv) {
        "worker pool; results are bit-identical for any --jobs value and "
        "for a cold, warm or resumed --cache-dir",
        cmd_campaign},
-      {"sweep", "[max_attackers]",
-       "multi-attacker total-bus-off sweep (Sec. V-C)", cmd_sweep},
+      {"reproduce", "",
+       "regenerate every paper claim (Tables I-III, Secs. V-B..V-E, Fig. 6, "
+       "Parrot) and check it against its declared band; exit 1 if any "
+       "claim fails",
+       cmd_reproduce},
       {"fault-sweep", "[scenario...] [--bers B1,B2,..]",
        "robustness campaign: bit-error rate x attacker scenario "
        "(default: spoof dos ef)",
@@ -543,8 +528,6 @@ int main(int argc, char** argv) {
        "run one recording with timeline capture and write a Chrome "
        "trace-event JSON",
        cmd_trace},
-      {"latency", "[num_fsms]", "detection-latency study (Sec. V-B)",
-       cmd_latency},
       {"rta", "<bus 0..7> [attack_blocking_bits]",
        "response-time analysis of a vehicle bus, optionally under attack",
        cmd_rta},

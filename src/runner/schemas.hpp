@@ -21,5 +21,7 @@ inline constexpr std::string_view kCampaignSchema = "michican.campaign.v1";
 inline constexpr std::string_view kFaultSweepSchema = "michican.fault_sweep.v1";
 /// Differential-fuzz report (runner::to_json(FuzzReport)).
 inline constexpr std::string_view kFuzzSchema = "michican.fuzz.v1";
+/// Paper-claims report (runner::to_json(ClaimsReport)).
+inline constexpr std::string_view kClaimsSchema = "michican.claims.v1";
 
 }  // namespace mcan::runner
