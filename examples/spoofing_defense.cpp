@@ -38,7 +38,9 @@ int main() {
             << ivn.detection_ranges(0x173).to_string() << "\n\n";
 
   const auto replayed = matrix.without(0x173).scaled_to_load(50e3, 0.12);
-  restbus::RestbusSim restbus_sim{replayed, bus};
+  can::BitController replay{"restbus"};  // one replay interface (PCAN-USB)
+  restbus::attach_matrix_replay(replay, replayed, bus.speed());
+  replay.attach_to(bus);
 
   attack::Attacker attacker{"attacker", attack::Attacker::spoof(0x173)};
   attacker.attach_to(bus);
@@ -70,12 +72,11 @@ int main() {
             << " of 11\n"
             << "  own frames spared:  " << mon.suppressed_self << "\n";
 
-  const auto rb = restbus_sim.total_stats();
+  const auto& rb = replay.stats();
   std::cout << "\nrestbus health (must be unharmed):\n"
             << "  frames delivered: " << rb.frames_sent << "\n"
-            << "  ECUs bused off:   "
-            << (restbus_sim.any_bus_off() ? "SOME (unexpected!)" : "none")
-            << "\n"
+            << "  bus-off entries:  " << rb.bus_off_entries
+            << (rb.bus_off_entries > 0 ? " (unexpected!)" : "") << "\n"
             << "defender TEC: " << defender.controller().tec()
             << " (the counterattack costs the defender nothing)\n";
 

@@ -362,17 +362,20 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
     defender_bus.set_fault_injector(injector.get());
   }
 
-  // --- restbus --------------------------------------------------------------
-  std::unique_ptr<restbus::RestbusSim> rb;
+  // --- restbus: the matrix replayed through one controller -----------------
+  std::unique_ptr<can::BitController> restbus_ctrl;
   if (spec.restbus) {
-    const auto replayed =
+    restbus_ctrl = std::make_unique<can::BitController>("restbus");
+    restbus::ReplayConfig rcfg;
+    rcfg.seed = spec.seed ^ 0xBEEF;
+    restbus::attach_matrix_replay(
+        *restbus_ctrl,
         matrix.without(spec.defender_id)
             .scaled_to_load(
                 static_cast<double>(spec.speed.bits_per_second),
-                spec.restbus_target_load);
-    restbus::ReplayConfig rcfg;
-    rcfg.seed = spec.seed ^ 0xBEEF;
-    rb = std::make_unique<restbus::RestbusSim>(replayed, restbus_bus, rcfg);
+                spec.restbus_target_load),
+        spec.speed, rcfg);
+    restbus_ctrl->attach_to(restbus_bus);
   }
 
   // --- captured-trace replay onto the rest-bus segment ----------------------
@@ -484,11 +487,12 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   if (injector) res.faults = injector->stats();
   for (const auto& s : stompers) res.error_frame_stomps += s->stomps();
 
-  if (rb) {
-    const auto rbs = rb->total_stats();
+  if (restbus_ctrl) {
+    const auto& rbs = restbus_ctrl->stats();
     res.restbus_frames_delivered = rbs.frames_sent;
     res.restbus_drops = rbs.dropped_frames;
-    res.restbus_any_bus_off = rb->any_bus_off();
+    res.restbus_any_bus_off =
+        restbus_ctrl->is_bus_off() || rbs.bus_off_entries > 0;
   }
   if (trace_replay_ctrl) {
     // The replayed capture is rest-bus traffic: fold its deliveries into
@@ -514,7 +518,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   for (const auto& a : attackers) {
     a->node().export_metrics(res.metrics, "attackers");
   }
-  if (rb) {
+  if (restbus_ctrl) {
     res.metrics.counter("restbus.frames_delivered") +=
         res.restbus_frames_delivered;
     res.metrics.counter("restbus.drops") += res.restbus_drops;

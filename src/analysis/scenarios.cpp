@@ -52,8 +52,10 @@ ExperimentSpec busy_bus_spec() {
   // The batched engine's home turf: a heavily loaded bus with no armed
   // monitor (an armed one walks every frame bit by bit from SOF to its
   // verdict) and no attackers — the wire is almost always mid-frame, so the
-  // word-level path carries the run.  The ~0.8 target load is the upper end
-  // of what a production 50 kbit/s bus sustains.
+  // word-level path carries the run.  The row is saturated on purpose: the
+  // ~0.8 replay target plus the defender's 8-byte frame every 5 ms (about
+  // 0.5 more) offers the wire about 1.3 times what it can carry, so the
+  // replay's transmit queue overflows and drops frames.
   ExperimentSpec spec;
   spec.label = "busy_bus";
   spec.defense_enabled = false;

@@ -1,26 +1,14 @@
 #include "restbus/replay.hpp"
 
-#include <map>
-
-#include "can/periodic.hpp"
+#include "sim/rng.hpp"
 
 namespace mcan::restbus {
 
-RestbusSim::RestbusSim(const CommMatrix& matrix, can::WiredAndBus& bus,
-                       ReplayConfig cfg) {
+void attach_matrix_replay(can::BitController& ctrl, const CommMatrix& matrix,
+                          sim::BusSpeed speed, ReplayConfig cfg) {
   sim::Rng rng{cfg.seed};
-  const double bits_per_ms =
-      static_cast<double>(bus.speed().bits_per_second) / 1e3;
-
-  std::map<std::string, can::BitController*> by_ecu;
+  const double bits_per_ms = static_cast<double>(speed.bits_per_second) / 1e3;
   for (const auto& m : matrix.messages()) {
-    auto it = by_ecu.find(m.tx_ecu);
-    if (it == by_ecu.end()) {
-      auto ctrl = std::make_unique<can::BitController>(m.tx_ecu);
-      ctrl->attach_to(bus);
-      it = by_ecu.emplace(m.tx_ecu, ctrl.get()).first;
-      ecus_.push_back(std::move(ctrl));
-    }
     can::CanFrame frame;
     frame.id = m.id;
     frame.dlc = m.dlc;
@@ -30,32 +18,9 @@ RestbusSim::RestbusSim(const CommMatrix& matrix, can::WiredAndBus& bus,
             ? static_cast<double>(rng.uniform(
                   0, static_cast<std::uint64_t>(period_bits)))
             : 0.0;
-    can::attach_periodic(*it->second, frame, period_bits, phase, cfg.payload,
+    can::attach_periodic(ctrl, frame, period_bits, phase, cfg.payload,
                          rng.fork());
   }
-}
-
-can::BitController::Stats RestbusSim::total_stats() const {
-  can::BitController::Stats total;
-  for (const auto& e : ecus_) {
-    const auto& s = e->stats();
-    total.frames_sent += s.frames_sent;
-    total.frames_received += s.frames_received;
-    total.tx_errors += s.tx_errors;
-    total.rx_errors += s.rx_errors;
-    total.arbitration_losses += s.arbitration_losses;
-    total.bus_off_entries += s.bus_off_entries;
-    total.recoveries += s.recoveries;
-    total.dropped_frames += s.dropped_frames;
-  }
-  return total;
-}
-
-bool RestbusSim::any_bus_off() const {
-  for (const auto& e : ecus_) {
-    if (e->is_bus_off() || e->stats().bus_off_entries > 0) return true;
-  }
-  return false;
 }
 
 }  // namespace mcan::restbus

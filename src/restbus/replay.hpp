@@ -1,16 +1,15 @@
 // Restbus simulation: replaying a vehicle's communication matrix onto the
-// simulated bus, one controller per transmitting ECU (paper Sec. V-A uses a
-// PCAN-USB interface to replay recorded Veh. D traffic the same way).
+// simulated bus through one controller with one transmit FIFO, as the paper
+// replays recorded Veh. D traffic through one PCAN-USB interface (Sec. V-A).
+// Frames that fall due together leave in FIFO order, not by ID priority.
 #pragma once
 
-#include <memory>
-#include <vector>
+#include <cstdint>
 
-#include "can/bus.hpp"
 #include "can/controller.hpp"
 #include "can/periodic.hpp"
 #include "restbus/comm_matrix.hpp"
-#include "sim/rng.hpp"
+#include "sim/types.hpp"
 
 namespace mcan::restbus {
 
@@ -22,30 +21,11 @@ struct ReplayConfig {
   std::uint64_t seed{0xBEEF};
 };
 
-/// Owns one BitController per transmitter ECU in the matrix, each loaded
-/// with periodic senders for its messages.
-class RestbusSim {
- public:
-  RestbusSim(const CommMatrix& matrix, can::WiredAndBus& bus,
-             ReplayConfig cfg = {});
-
-  [[nodiscard]] std::size_t ecu_count() const noexcept {
-    return ecus_.size();
-  }
-  [[nodiscard]] const std::vector<std::unique_ptr<can::BitController>>& ecus()
-      const noexcept {
-    return ecus_;
-  }
-
-  /// Aggregate statistics over all restbus ECUs.
-  [[nodiscard]] can::BitController::Stats total_stats() const;
-
-  /// True if any restbus ECU was pushed into bus-off (must never happen —
-  /// MichiCAN's counterattack leaves benign nodes untouched).
-  [[nodiscard]] bool any_bus_off() const;
-
- private:
-  std::vector<std::unique_ptr<can::BitController>> ecus_;
-};
+/// Load every message of `matrix` onto `ctrl` as a periodic sender at its
+/// matrix period (bit times at `speed`).  The caller owns `ctrl` and
+/// attaches it to the bus.  RNG draws run in matrix order: one phase per
+/// message (when randomized), then one forked stream for its payloads.
+void attach_matrix_replay(can::BitController& ctrl, const CommMatrix& matrix,
+                          sim::BusSpeed speed, ReplayConfig cfg = {});
 
 }  // namespace mcan::restbus

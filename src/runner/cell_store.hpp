@@ -48,7 +48,7 @@ namespace mcan::runner {
 /// cell's deterministic result bytes (protocol model, codec layout,
 /// aggregation inputs), and every previously cached cell goes stale at
 /// once — no manual cache flush, no corrupt reuse.
-inline constexpr std::string_view kEngineVersion = "michican-cell-v1";
+inline constexpr std::string_view kEngineVersion = "michican-cell-v2";
 
 /// Incremental FNV-1a 64-bit content hash.  Not cryptographic — the cache
 /// is a local trusted store; what matters is stability across runs and

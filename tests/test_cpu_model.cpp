@@ -50,8 +50,10 @@ TEST(CpuModel, MeasuredWorkloadMatchesAnalyticModel) {
   cfg.own_id = ivn.highest();
   MichiCanNode def{"defender", ivn, cfg};
   def.attach_to(bus);
-  restbus::RestbusSim rb{
-      matrix.without(cfg.own_id).scaled_to_load(125e3, 0.4), bus};
+  can::BitController rb{"restbus"};
+  restbus::attach_matrix_replay(
+      rb, matrix.without(cfg.own_id).scaled_to_load(125e3, 0.4), bus.speed());
+  rb.attach_to(bus);
   bus.run_for(sim::Millis{2000.0});
 
   const auto due = mcu::arduino_due();

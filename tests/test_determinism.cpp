@@ -75,10 +75,14 @@ TEST(Determinism, LatencyStudyMatchesPinnedValues) {
 TEST(Determinism, RestbusReplayIsReproducible) {
   auto run = [] {
     can::WiredAndBus bus{sim::BusSpeed{125'000}};
-    restbus::RestbusSim rb{restbus::vehicle_matrix(restbus::Vehicle::A, 1),
-                           bus};
+    can::BitController replay{"restbus"};
+    restbus::attach_matrix_replay(
+        replay, restbus::vehicle_matrix(restbus::Vehicle::A, 1), bus.speed());
+    replay.attach_to(bus);
+    can::BitController receiver{"ack"};  // acknowledges the replayed frames
+    receiver.attach_to(bus);
     bus.run_for(sim::Millis{300.0});
-    return std::pair{rb.total_stats().frames_sent,
+    return std::pair{replay.stats().frames_sent,
                      bus.trace().dominant_count(0, bus.now())};
   };
   const auto a = run();

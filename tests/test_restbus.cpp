@@ -2,6 +2,8 @@
 // vehicle set, analytic bus load (Sec. V-E) and traffic replay (Sec. V-A).
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "can/bus.hpp"
 #include "restbus/comm_matrix.hpp"
 #include "restbus/replay.hpp"
@@ -103,37 +105,58 @@ TEST(Vehicles, LoadsAreRealistic) {
   }
 }
 
-TEST(RestbusSim, ReplaysAllTransmitters) {
+TEST(RestbusSim, OneControllerDeliversEveryIdAtItsPeriod) {
   can::WiredAndBus bus{sim::BusSpeed{500'000}};
   const auto m = vehicle_matrix(Vehicle::A, 1);
-  RestbusSim sim{m, bus};
-  EXPECT_EQ(sim.ecu_count(), m.transmitters().size());
+  can::BitController replay{"restbus"};
+  attach_matrix_replay(replay, m, bus.speed());
+  replay.attach_to(bus);
+  can::BitController receiver{"ack"};
+  receiver.attach_to(bus);
+  std::map<can::CanId, int> delivered;
+  receiver.set_rx_callback(
+      [&](const can::CanFrame& f, sim::BitTime) { ++delivered[f.id]; });
+  const double run_ms = 2000.0;
+  bus.run_for(sim::Millis{run_ms});
+  EXPECT_EQ(delivered.size(), m.size());
+  for (const auto& msg : m.messages()) {
+    EXPECT_NEAR(delivered[msg.id], run_ms / msg.period_ms, 1.0)
+        << "id 0x" << std::hex << msg.id;
+  }
+  EXPECT_EQ(replay.stats().dropped_frames, 0u);
 }
 
 TEST(RestbusSim, MeasuredLoadTracksAnalyticLoad) {
   can::WiredAndBus bus{sim::BusSpeed{50'000}};
   const auto m = vehicle_matrix(Vehicle::D, 1).scaled_to_load(50e3, 0.20);
-  RestbusSim sim{m, bus};
+  can::BitController replay{"restbus"};
+  attach_matrix_replay(replay, m, bus.speed());
+  replay.attach_to(bus);
+  // One replay controller cannot acknowledge its own frames.
+  can::BitController receiver{"ack"};
+  receiver.attach_to(bus);
   bus.run_for(sim::Millis{2000.0});
   const double measured = bus.trace().busy_fraction(0, bus.now());
   EXPECT_NEAR(measured, 0.20, 0.06);
-  EXPECT_FALSE(sim.any_bus_off());
-  EXPECT_EQ(sim.total_stats().tx_errors, 0u);
+  EXPECT_FALSE(replay.is_bus_off());
+  EXPECT_EQ(replay.stats().bus_off_entries, 0u);
+  EXPECT_EQ(replay.stats().tx_errors, 0u);
 }
 
 TEST(RestbusSim, DeliversFramesLossFree) {
   can::WiredAndBus bus{sim::BusSpeed{500'000}};
   const auto m = vehicle_matrix(Vehicle::C, 2);
-  RestbusSim sim{m, bus};
+  can::BitController replay{"restbus"};
+  attach_matrix_replay(replay, m, bus.speed());
+  replay.attach_to(bus);
   can::BitController observer{"obs"};
   observer.attach_to(bus);
   std::uint64_t delivered = 0;
   observer.set_rx_callback(
       [&](const can::CanFrame&, sim::BitTime) { ++delivered; });
   bus.run_for(sim::Millis{500.0});
-  const auto stats = sim.total_stats();
-  EXPECT_EQ(delivered, stats.frames_sent);
-  EXPECT_EQ(stats.dropped_frames, 0u);
+  EXPECT_EQ(delivered, replay.stats().frames_sent);
+  EXPECT_EQ(replay.stats().dropped_frames, 0u);
 }
 
 }  // namespace
