@@ -32,9 +32,10 @@ sim::BitTime Attacker::pump_next(sim::BitTime now) const {
     if (static_cast<double>(now) >= next_due_) return can::kAlways;
     return static_cast<sim::BitTime>(std::ceil(next_due_));
   }
-  // Continuous flood: pump() only does work when the queue has run dry,
-  // which can change solely on a stepped bit (a transmission completing or
-  // bus-off clearing the queue) — the horizon is re-evaluated after those.
+  // Continuous flood: pump() only does work when the queue has run dry.
+  // Waiting for that is waiting on the controller, so the answer is kNever:
+  // the hook parks until a frame leaves the queue (sent, or cleared at
+  // bus-off) or bus-off ends.
   return ctrl_.queue_depth() == 0 ? can::kAlways : can::kNever;
 }
 

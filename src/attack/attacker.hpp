@@ -120,7 +120,9 @@ class Attacker : public AttackerNode {
 
  private:
   void pump(sim::BitTime now);
-  /// Scheduling companion to pump() for the batch-window engine.
+  /// Scheduling companion to pump() (BitController::add_app's contract):
+  /// its own due time when paced, else kNever while it waits on the
+  /// controller (a frame queued, or bus-off without persistence).
   [[nodiscard]] sim::BitTime pump_next(sim::BitTime now) const;
 
   AttackerConfig cfg_;

@@ -34,6 +34,8 @@ FuzzAttacker::FuzzAttacker(std::string name, AttackerConfig cfg,
       [this](sim::BitTime now) { return pump_next(now); });
 }
 
+// Same answers as Attacker::pump_next: kNever parks the hook while it waits
+// on the controller.
 sim::BitTime FuzzAttacker::pump_next(sim::BitTime now) const {
   if (ctrl_.is_bus_off() && !cfg_.persistent) return can::kNever;
   if (cfg_.period_bits > 0.0) {

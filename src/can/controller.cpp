@@ -46,8 +46,8 @@ void BitController::add_app(
 
 void BitController::add_app(
     std::function<void(sim::BitTime, BitController&)> app,
-    std::function<sim::BitTime(sim::BitTime)> next, bool sticky_next) {
-  apps_.push_back({std::move(app), std::move(next), sticky_next, 0});
+    std::function<sim::BitTime(sim::BitTime)> next) {
+  apps_.push_back({std::move(app), std::move(next)});
   apps_due_ = 0;
 }
 
@@ -68,28 +68,36 @@ std::optional<CanId> BitController::active_tx_id() const noexcept {
 
 void BitController::tick(BitTime now) {
   now_ = now;
-  // Sticky hooks promised to be a no-op before their cached due bit, so the
-  // std::function dispatch itself can be skipped.  The cache is only armed
-  // when the bus runs a contract-based engine: the naive per-bit tier stays
-  // a contract-free oracle that dispatches every hook every bit, so the
-  // differential harness would catch a hook whose promise lies.
+  // A hook is a no-op before its cached due bit (see add_app), so the
+  // std::function dispatch itself is skipped; a parked one waits for
+  // wake_parked_apps().  The cache is only armed when the bus runs a
+  // contract-based engine: the naive per-bit tier stays a contract-free
+  // oracle that dispatches every hook every bit, so the differential
+  // harness would catch a companion whose answer lies.
   const bool trust = bus_ != nullptr && bus_->fast_path();
   if (trust && now < apps_due_) return;
   BitTime min_due = kNever;
   for (auto& app : apps_) {
-    BitTime due = app.cached_due;
-    if (!trust || now >= due) {
+    if (!trust || now >= app.due) {
       app.fn(now, *this);
-      due = 0;
-      if (app.sticky && trust) {
+      if (trust && app.next) {
         const BitTime t = app.next(now);
-        if (t > now) due = t;
-        app.cached_due = due;
+        app.due = t > now ? t : 0;
+        if (t == kNever) ++parked_;
       }
     }
-    min_due = std::min(min_due, due);
+    min_due = std::min(min_due, app.due);
   }
   apps_due_ = min_due;
+}
+
+void BitController::wake_parked_apps() {
+  if (parked_ == 0) return;
+  for (auto& app : apps_) {
+    if (app.due == kNever) app.due = 0;
+  }
+  parked_ = 0;
+  apps_due_ = 0;
 }
 
 // ---------------------------------------------------------------------------
@@ -112,20 +120,9 @@ void BitController::tick(BitTime now) {
 BitController::DrivePattern BitController::drive_pattern(BitTime now) {
   // Application hooks cap every promise at their next due bit: a hook
   // without a scheduling companion, or one due now, opts out — the stepped
-  // path runs it inside tick().
-  BitTime app_cap = kNever;
-  if (apps_due_ > now) {
-    // tick() maintains apps_due_ = min cached due; a future value proves
-    // every hook is sticky and quiet, so one compare replaces the scan.
-    app_cap = apps_due_ - now;
-  } else {
-    for (const auto& app : apps_) {
-      if (!app.next) return {};
-      const BitTime t = app.sticky ? app.cached_due : app.next(now);
-      if (t <= now) return {};
-      app_cap = std::min(app_cap, t - now);
-    }
-  }
+  // path runs it inside tick().  tick() keeps apps_due_ = min cached due.
+  if (apps_due_ <= now) return {};
+  const BitTime app_cap = apps_due_ - now;
   constexpr std::uint64_t kAllRecessive = ~0ull;
 
   switch (phase_) {
@@ -532,6 +529,7 @@ void BitController::on_bus_bit(BitLevel bus) {
                       static_cast<std::int64_t>(ErrorState::ErrorActive));
             phase_ = Phase::Integrating;
             integrate_count_ = 0;
+            wake_parked_apps();
           }
         }
       } else {
@@ -775,6 +773,7 @@ void BitController::complete_transmission() {
   const CanFrame frame = txq_.front();
   txq_.pop_front();
   txbits_ready_ = false;
+  wake_parked_apps();
   ++stats_.frames_sent;
   fault_.on_tx_success();
   log_event(EventKind::FrameTxSuccess, frame.id);
@@ -790,6 +789,7 @@ void BitController::lose_arbitration(BitLevel current_bus) {
   if (!cfg_.auto_retransmit) {
     txq_.pop_front();
     txbits_ready_ = false;
+    wake_parked_apps();
   }
   // Continue as a receiver.  All bus bits so far equal what we drove, so the
   // receive engine can be rebuilt from our own transmit history.
@@ -968,6 +968,7 @@ void BitController::begin_error(bool as_transmitter, ErrorType type,
   if (as_transmitter && !cfg_.auto_retransmit && !txq_.empty()) {
     txq_.pop_front();
     txbits_ready_ = false;
+    wake_parked_apps();
   }
 
   if (fault_.state() == ErrorState::BusOff) {
@@ -1050,6 +1051,7 @@ void BitController::enter_bus_off() {
     txq_.clear();
     txbits_ready_ = false;
   }
+  wake_parked_apps();
 }
 
 void BitController::export_metrics(obs::Registry& reg,

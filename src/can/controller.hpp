@@ -75,9 +75,9 @@ class BitController : public CanNode {
 
   /// Tell the controller which bus it rides on without registering it as a
   /// node — the composite-node analogue of attach_to()'s back-pointer.  The
-  /// pointer gates the sticky-hook cache: promises are only trusted when
-  /// the bus runs the batch-window engine (fast path), so the naive tier
-  /// stays a contract-free oracle.
+  /// pointer gates the hook cache (see add_app): companions' answers are
+  /// only trusted when the bus runs the batch-window engine (fast path), so
+  /// the naive tier stays a contract-free oracle.
   void set_bus(const WiredAndBus* bus) noexcept { bus_ = bus; }
 
   /// Queue a frame for transmission.  Returns false (and counts a drop)
@@ -89,20 +89,25 @@ class BitController : public CanNode {
   void add_app(std::function<void(sim::BitTime, BitController&)> app);
 
   /// Like add_app, with a scheduling companion: `next(now)` returns the
-  /// earliest future bit at which the hook may do anything (enqueue a frame,
-  /// mutate state).  Hooks registered without one opt the controller out
-  /// of every batch window, so the engine steps it bit by bit.
+  /// earliest bit at which the hook may act (enqueue a frame, mutate
+  /// state); kAlways, or any value <= now, means now.  Hooks registered
+  /// without one opt the controller out of every batch window, so the
+  /// engine steps it bit by bit.
   ///
-  /// `sticky_next` opts into a stronger promise: the companion's answer can
-  /// only change when the hook itself runs.  The controller then caches the
-  /// due time once per hook invocation and replaces every later next/tick
-  /// query with an integer compare — including skipping the hook call
-  /// entirely on bits before the cached due time.  A companion that reads
-  /// state mutated outside the hook (e.g. the TX queue depth) must NOT be
-  /// sticky.
+  /// On the batch-window engine the controller asks the companion right
+  /// after each run of the hook, caches the answer and skips the hook until
+  /// that bit arrives.  Hence the contract:
+  ///   - a finite answer may depend only on state the hook itself changes;
+  ///   - an answer that waits on this controller (its TX queue draining,
+  ///     bus-off starting or ending) must be kNever.  kNever parks the hook
+  ///     until a frame leaves the TX queue or the controller enters or
+  ///     leaves bus-off.  An enqueue wakes nothing: it can only postpone a
+  ///     hook waiting for the queue to drain.
+  /// A cached answer may turn out early, never late: running a hook early
+  /// is harmless (the naive tier runs every hook on every bit), skipping a
+  /// bit at which it would act is not.
   void add_app(std::function<void(sim::BitTime, BitController&)> app,
-               std::function<sim::BitTime(sim::BitTime)> next,
-               bool sticky_next = false);
+               std::function<sim::BitTime(sim::BitTime)> next);
 
   /// Called for every complete, valid frame received from the bus.
   void set_rx_callback(std::function<void(const CanFrame&, sim::BitTime)> cb);
@@ -202,6 +207,7 @@ class BitController : public CanNode {
   void enter_intermission();
   void enter_bus_off();
   void after_intermission();
+  void wake_parked_apps();
   void check_state_transition(ErrorState before);
 
   std::string name_;
@@ -263,22 +269,22 @@ class BitController : public CanNode {
 
   /// Application hook plus its optional scheduling companion (it caps
   /// drive_pattern()'s horizon); a null `next` opts the whole controller
-  /// out of batching.
-  /// For sticky companions `cached_due` holds next(now) as of the hook's
-  /// last run (0 = due / never ran); non-sticky hooks keep it pinned at 0
-  /// so they run every tick and are re-queried every probe.
+  /// out of batching.  `due` caches next(now) as of the hook's last run on
+  /// the batch-window engine: 0 = due (never ran, no companion, naive tier),
+  /// kNever = parked until wake_parked_apps().
   struct App {
     std::function<void(sim::BitTime, BitController&)> fn;
     std::function<sim::BitTime(sim::BitTime)> next;
-    bool sticky{false};
-    sim::BitTime cached_due{0};
+    sim::BitTime due{0};
   };
 
   std::vector<App> apps_;
-  // min over apps_ of cached_due as of the last tick (0 whenever any hook
-  // ran or is untracked): while now < apps_due_ every hook is provably
-  // quiet, so tick() and the batch-probe app scans reduce to one compare.
-  sim::BitTime apps_due_{0};
+  // Hooks whose `due` is kNever: wake_parked_apps() is free while none is.
+  std::size_t parked_{0};
+  // min over apps_ of `due` as of the last tick (kNever with no hook, 0 after
+  // add_app or a wake): while now < apps_due_ every hook is provably quiet,
+  // so tick() and drive_pattern() reduce to one compare.
+  sim::BitTime apps_due_{kNever};
   std::function<void(const CanFrame&, sim::BitTime)> rx_cb_;
   std::function<void(const CanFrame&, sim::BitTime)> tx_cb_;
 };

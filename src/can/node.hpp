@@ -17,8 +17,10 @@ namespace mcan::can {
 /// means the same thing, so 0 is the universal "due".
 inline constexpr sim::BitTime kAlways = 0;
 
-/// Horizon sentinel: never.  As a hook due time the hook never fires again;
-/// as a DrivePattern horizon the node drives recessive indefinitely.
+/// Horizon sentinel: never.  As a hook due time the hook is parked until its
+/// controller's TX queue pops a frame or the controller enters or leaves
+/// bus-off (BitController::add_app); as a DrivePattern horizon the node
+/// drives recessive indefinitely.
 inline constexpr sim::BitTime kNever =
     std::numeric_limits<sim::BitTime>::max();
 

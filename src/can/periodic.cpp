@@ -50,12 +50,11 @@ void attach_periodic(BitController& ctrl, const CanFrame& frame,
   // batch-window engine sees the sender's live next_due_.
   auto sender = std::make_shared<PeriodicSender>(frame, period_bits,
                                                  phase_bits, mode, rng);
-  // Sticky: next_due_ only moves inside operator(), so the controller may
-  // cache the due time and skip the hook dispatch until it arrives.
+  // next_due_ only moves inside operator(), so the answer is the sender's
+  // own due time (add_app's contract).
   ctrl.add_app(
       [sender](sim::BitTime now, BitController& c) { (*sender)(now, c); },
-      [sender](sim::BitTime now) { return sender->next_activity(now); },
-      /*sticky_next=*/true);
+      [sender](sim::BitTime now) { return sender->next_activity(now); });
 }
 
 }  // namespace mcan::can

@@ -291,10 +291,9 @@ void attach_candump_replay(can::BitController& ctrl,
         const double due_bits =
             ((*pending)[*next].t_seconds - t0) * time_scale * bps;
         if (static_cast<double>(now) >= due_bits) return can::kAlways;
+        // The replay cursor only advances inside the hook itself.
         return static_cast<sim::BitTime>(std::ceil(due_bits));
-      },
-      // Sticky: the replay cursor only advances inside the hook itself.
-      /*sticky_next=*/true);
+      });
 }
 
 }  // namespace mcan::restbus

@@ -19,8 +19,13 @@
 // The window contract is enforced, not trusted: a node that advertises a
 // drive pattern and then contradicts it — at a window's first bit or right
 // after it — must make the bus throw, never silently lose a dominant edge.
+//
+// Application hooks parked on their controller (kNever) must wake at every
+// controller change they may wait on, and only then: the parked-hook tests
+// pin each wake against the naive tier and pin the saving itself.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -28,8 +33,12 @@
 #include "analysis/experiments.hpp"
 #include "analysis/scenarios.hpp"
 #include "can/bus.hpp"
+#include "can/controller.hpp"
 #include "can/fault_injector.hpp"
 #include "can/node.hpp"
+#include "can/periodic.hpp"
+#include "core/michican_node.hpp"
+#include "obs/timeline.hpp"
 #include "runner/campaign.hpp"
 #include "runner/cli.hpp"
 #include "runner/report.hpp"
@@ -102,6 +111,70 @@ class BatchLyingNode final : public can::CanNode {
   }
   [[nodiscard]] std::string_view name() const override { return "batch-liar"; }
 };
+
+/// What a parked flood hook waits for once its queued frame is gone.
+enum class FloodHook {
+  RefillWhileBusOff,  // tops the queue up even while bus-off (Exp. 6)
+  WaitForRecovery,    // parks while bus-off, refills after recovery
+};
+
+struct ParkedHookRun {
+  std::string events;  // the whole event log, JSONL
+  std::uint64_t hook_calls{0};
+  std::uint64_t bus_off_entries{0};
+  std::uint64_t recoveries{0};
+  std::uint64_t arbitration_losses{0};
+};
+
+/// A MichiCAN defender owning 0x064 and a plain controller whose one hook
+/// floods that ID: every frame it queues is counterattacked, so the
+/// controller cycles through bus-off (queue cleared on entry) and recovery
+/// about seven times in 20,000 bits.  The hook stamps each refill with a
+/// Custom event at the bit it acts, so a late wake shows in the log.
+/// `one_shot` disables automatic retransmission, so every error drops the
+/// frame, and adds a legitimate 0x050 sender that wins arbitration.
+ParkedHookRun run_parked_flood(Engine engine, FloodHook kind,
+                               bool one_shot = false) {
+  can::WiredAndBus bus{sim::BusSpeed{50'000}};
+  bus.set_fast_path(engine == Engine::Batched);
+  core::MichiCanNodeConfig dcfg;
+  dcfg.own_id = 0x064;
+  const core::IvnConfig ivn{{0x050, 0x064, 0x173, 0x2A0}};
+  core::MichiCanNode defender{"defender", ivn, dcfg};
+  defender.attach_to(bus);
+  can::BitController::Config fcfg;
+  fcfg.clear_queue_on_bus_off = true;
+  fcfg.auto_retransmit = !one_shot;
+  can::BitController flooder{"flooder", fcfg};
+  flooder.attach_to(bus);
+  can::BitController peer{"peer"};
+  if (one_shot) {
+    can::attach_periodic(peer, can::CanFrame::make(0x050, {0x01}), 300.0);
+    peer.attach_to(bus);
+  }
+
+  ParkedHookRun run;
+  const auto waits = [&flooder, kind] {
+    return flooder.queue_depth() != 0 ||
+           (kind == FloodHook::WaitForRecovery && flooder.is_bus_off());
+  };
+  flooder.add_app(
+      [&](sim::BitTime now, can::BitController& c) {
+        ++run.hook_calls;
+        if (waits()) return;
+        c.enqueue(can::CanFrame::make(0x064, {0xA5, 0x5A}));
+        bus.log().push({now, "flood-hook", sim::EventKind::Custom, 0x064, 0,
+                        0, "refill"});
+      },
+      [&](sim::BitTime) { return waits() ? can::kNever : can::kAlways; });
+
+  bus.run(sim::Bits{20'000});
+  run.events = obs::to_jsonl(bus.log());
+  run.bus_off_entries = flooder.stats().bus_off_entries;
+  run.recoveries = flooder.stats().recoveries;
+  run.arbitration_losses = flooder.stats().arbitration_losses;
+  return run;
+}
 
 std::string campaign_json(const std::vector<analysis::ExperimentSpec>& specs,
                           Engine engine, unsigned jobs) {
@@ -356,6 +429,54 @@ TEST(EngineEquivalence, PerBitKernelToleratesTheBatchLiar) {
   bus.attach(liar);
   EXPECT_NO_THROW(bus.run(sim::Bits{200}));
   EXPECT_EQ(bus.bits_batched(), 0u);
+}
+
+// Bus-off entry clears the queue: the parked hook must run on the next bit
+// and refill it while the controller is still bus-off, as on the naive tier.
+TEST(EngineEquivalence, ParkedHookWakesWhenBusOffClearsTheQueue) {
+  const auto naive =
+      run_parked_flood(Engine::Naive, FloodHook::RefillWhileBusOff);
+  const auto batched =
+      run_parked_flood(Engine::Batched, FloodHook::RefillWhileBusOff);
+  ASSERT_GE(naive.bus_off_entries, 5u);
+  ASSERT_GE(naive.recoveries, 5u);
+  EXPECT_EQ(naive.events, batched.events);
+}
+
+// A hook that parks while bus-off must run again on the bit after recovery.
+TEST(EngineEquivalence, ParkedHookWakesWhenBusOffEnds) {
+  const auto naive =
+      run_parked_flood(Engine::Naive, FloodHook::WaitForRecovery);
+  const auto batched =
+      run_parked_flood(Engine::Batched, FloodHook::WaitForRecovery);
+  ASSERT_GE(naive.bus_off_entries, 5u);
+  ASSERT_GE(naive.recoveries, 5u);
+  EXPECT_EQ(naive.events, batched.events);
+}
+
+// A one-shot controller drops its frame on every error and every lost
+// arbitration: each drop must wake the parked hook, as a sent frame does.
+TEST(EngineEquivalence, ParkedHookWakesWhenOneShotDropsTheFrame) {
+  const auto naive = run_parked_flood(
+      Engine::Naive, FloodHook::RefillWhileBusOff, /*one_shot=*/true);
+  const auto batched = run_parked_flood(
+      Engine::Batched, FloodHook::RefillWhileBusOff, /*one_shot=*/true);
+  ASSERT_GE(naive.bus_off_entries, 5u);
+  ASSERT_GE(naive.arbitration_losses, 5u);
+  EXPECT_EQ(naive.events, batched.events);
+}
+
+// The saving itself, which no byte-identity gate can see: a parked flood
+// hook runs once per queue change and bus-off transition under the engine,
+// not once per bit as under the naive kernel.
+TEST(EngineEquivalence, ParkedHookRunsOncePerQueueChange) {
+  const auto naive =
+      run_parked_flood(Engine::Naive, FloodHook::RefillWhileBusOff);
+  const auto batched =
+      run_parked_flood(Engine::Batched, FloodHook::RefillWhileBusOff);
+  EXPECT_EQ(naive.hook_calls, 20'000u);
+  EXPECT_LT(batched.hook_calls * 10, naive.hook_calls)
+      << "the parked hook ran " << batched.hook_calls << " times";
 }
 
 TEST(DurationTypes, BitsAndMillisConvertExactly) {
