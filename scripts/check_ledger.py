@@ -5,11 +5,15 @@
 
 A ledger (schema michican.perfbench.ledger.v1, ROADMAP item 6) records every
 parent and change run of a hot-path change plus a summary derived from them.
-This script recomputes the summary from `runs` and fails on any mismatch:
+This script recomputes the summary from `runs`, checks it against the
+workloads and metrics BENCHMARK.json declares, and fails on any mismatch:
 
   - the schema string;
-  - at least 10 pairs per workload, each holding one parent and one change
-    run, with each side running first in half of the pairs;
+  - at least 10 pairs for every workload BENCHMARK.json lists, each holding
+    one parent and one change run, with each side running first in half of
+    the pairs;
+  - a summary row for every end-to-end metric of every listed workload;
+  - a claim that names only a workload and a metric BENCHMARK.json lists;
   - every run is correct and has no failed cells or checks;
   - every summary quartile (statistics.quantiles, n=4, inclusive) and the
     claim block's parent_iqr and median_gap within 1e-6, every pair count
@@ -23,7 +27,9 @@ import json
 import statistics
 import sys
 from collections import defaultdict
+from pathlib import Path
 
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 SCHEMA = "michican.perfbench.ledger.v1"
 MIN_PAIRS = 10
 TOL = 1e-6
@@ -40,9 +46,12 @@ def close(a, b, tol):
     return abs(a - b) <= tol
 
 
-def check(ledger):
+def check(ledger, benchmark):
     """Returns the list of problems found in one parsed ledger."""
     problems = []
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    end_to_end = [m["name"] for m in benchmark["end_to_end"]]
+    declared = end_to_end + [m["name"] for m in benchmark["per_layer"]]
     if ledger.get("schema") != SCHEMA:
         problems.append(f"schema {ledger.get('schema')!r} != {SCHEMA!r}")
 
@@ -63,7 +72,8 @@ def check(ledger):
             problems.append(f"{where}: failed = {result.get('failed')}")
 
     complete_pairs = {}
-    for workload, by_pair in pairs.items():
+    for workload in [*workloads, *(w for w in pairs if w not in workloads)]:
+        by_pair = pairs.get(workload, {})
         complete = [p for p in by_pair.values() if set(p) == set(SIDES)]
         complete_pairs[workload] = complete
         if len(complete) != len(by_pair):
@@ -83,6 +93,10 @@ def check(ledger):
     for workload in pairs:
         if workload not in summary:
             problems.append(f"{workload}: no summary")
+    for workload in workloads:
+        for metric in end_to_end:
+            if metric not in summary.get(workload, {}):
+                problems.append(f"summary {workload}: no {metric} row")
     derived = {}
     for workload, metrics in summary.items():
         complete = complete_pairs.get(workload)
@@ -127,6 +141,10 @@ def check(ledger):
     if claim is not None:
         where = f"claim {claim.get('workload')} {claim.get('metric')}"
         found = derived.get((claim.get("workload"), claim.get("metric")))
+        if claim.get("workload") not in workloads:
+            problems.append(f"{where}: workload not in BENCHMARK.json")
+        if claim.get("metric") not in declared:
+            problems.append(f"{where}: metric not in BENCHMARK.json")
         if found is None:
             problems.append(f"{where}: no such summary row")
         else:
@@ -151,10 +169,11 @@ def main(paths):
         print("usage: " + __doc__.strip().splitlines()[2].strip(),
               file=sys.stderr)
         return 2
+    benchmark = json.loads(BENCHMARK.read_text(encoding="utf-8"))
     failed = False
     for path in paths:
         with open(path, encoding="utf-8") as f:
-            problems = check(json.load(f))
+            problems = check(json.load(f), benchmark)
         for problem in problems:
             print(f"{path}: {problem}")
         print(f"{path}: {'FAIL' if problems else 'ok'}")

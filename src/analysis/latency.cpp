@@ -1,7 +1,8 @@
 #include "analysis/latency.hpp"
 
 #include <algorithm>
-#include <bitset>
+#include <array>
+#include <bit>
 #include <utility>
 #include <vector>
 
@@ -29,18 +30,22 @@ LatencyStudyResult run_latency_study(const LatencyStudyConfig& cfg) {
         static_cast<std::uint64_t>(cfg.max_ecus)));
     // Draw n distinct IDs (a repeat costs a draw and is dropped), then hand
     // them over in ascending order.
-    std::bitset<can::kMaxStdId + 1> drawn;
+    std::array<std::uint64_t, (can::kMaxStdId + 1) / 64> drawn{};
     for (std::size_t distinct = 0; distinct < n;) {
       const auto id = rng.uniform(0, can::kMaxStdId);
-      if (!drawn.test(id)) {
-        drawn.set(id);
+      const auto bit = std::uint64_t{1} << (id % 64);
+      if ((drawn[id / 64] & bit) == 0) {
+        drawn[id / 64] |= bit;
         ++distinct;
       }
     }
     std::vector<can::CanId> ids;
     ids.reserve(n);
-    for (can::CanId id = 0; id <= can::kMaxStdId; ++id) {
-      if (drawn.test(id)) ids.push_back(id);
+    for (std::size_t w = 0; w < drawn.size(); ++w) {
+      for (auto bits = drawn[w]; bits != 0; bits &= bits - 1) {
+        const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
+        ids.push_back(static_cast<can::CanId>(w * 64 + bit));
+      }
     }
     const core::IvnConfig ivn{std::move(ids)};
     // Random perspective ECU (the paper patches an FSM into each ECU).
@@ -50,39 +55,45 @@ LatencyStudyResult run_latency_study(const LatencyStudyConfig& cfg) {
     nodes_sum += static_cast<double>(fsm.node_count());
     out.max_depth_seen = std::max(out.max_depth_seen, fsm.max_depth());
 
-    // Exact per-FSM mean decision depth via the leaf structure.
-    std::uint64_t mal_ids = 0, ben_ids = 0;
-    double mal_depth = 0, ben_depth = 0;
-    fsm.for_each_leaf([&](int depth, std::uint32_t count, bool malicious) {
-      if (malicious) {
-        mal_ids += count;
-        mal_depth += static_cast<double>(depth) * count;
-      } else {
-        ben_ids += count;
-        ben_depth += static_cast<double>(depth) * count;
-      }
-    });
+    // Exact per-FSM mean decision depth from the FSM's depth histogram.  The
+    // sums are integers, so the doubles below are exact.
+    std::uint64_t mal_ids = 0, ben_ids = 0, mal_depth = 0, ben_depth = 0;
+    const auto mal = fsm.decided_at(true);
+    const auto ben = fsm.decided_at(false);
+    for (std::size_t depth = 0; depth < mal.size(); ++depth) {
+      mal_ids += mal[depth];
+      mal_depth += depth * mal[depth];
+      ben_ids += ben[depth];
+      ben_depth += depth * ben[depth];
+    }
     if (mal_ids > 0) {
-      const double mean = mal_depth / static_cast<double>(mal_ids);
+      const double mean =
+          static_cast<double>(mal_depth) / static_cast<double>(mal_ids);
       sum_of_means += mean;
       per_fsm.push_back(mean);
     }
     if (ben_ids > 0) {
-      benign_sum += ben_depth / static_cast<double>(ben_ids);
+      benign_sum +=
+          static_cast<double>(ben_depth) / static_cast<double>(ben_ids);
       ++benign_fsms;
     }
 
-    // Brute-force cross-check of the first `verify_fsms` FSMs.
+    // Brute-force cross-check of the first `verify_fsms` FSMs: every ID's
+    // verdict against membership, found by one cursor over the sorted
+    // ranges.
     if (trial < cfg.verify_fsms) {
+      auto next = ranges.ranges().begin();
+      const auto end = ranges.ranges().end();
       for (std::uint32_t id = 0; id <= can::kMaxStdId; ++id) {
-        const bool should = ranges.contains(static_cast<can::CanId>(id));
-        const auto d = fsm.decide(static_cast<can::CanId>(id));
+        while (next != end && next->hi < id) ++next;
+        const bool should = next != end && next->lo <= id;
+        const bool flagged = fsm.decide(static_cast<can::CanId>(id)).malicious;
         if (should) {
           ++verified_should_flag;
-          if (d.malicious) ++verified_flagged;
+          if (flagged) ++verified_flagged;
         } else {
           ++verified_benign;
-          if (d.malicious) ++verified_false_pos;
+          if (flagged) ++verified_false_pos;
         }
       }
     }

@@ -12,14 +12,6 @@ double mean_decision_depth(const DetectionFsm& fsm,
   return sum / static_cast<double>(ids.size());
 }
 
-double mean_decision_depth_uniform(const DetectionFsm& fsm) {
-  double sum = 0;
-  for (can::CanId id = 0; id <= can::kMaxStdId; ++id) {
-    sum += fsm.decide(id).bit_position;
-  }
-  return sum / static_cast<double>(can::kMaxStdId + 1);
-}
-
 mcu::CpuLoadBreakdown measured_cpu(const MonitorStats& stats,
                                    std::size_t fsm_nodes,
                                    const mcu::McuProfile& mcu,

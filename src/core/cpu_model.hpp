@@ -17,10 +17,6 @@ namespace mcan::core {
 [[nodiscard]] double mean_decision_depth(const DetectionFsm& fsm,
                                          const std::vector<can::CanId>& ids);
 
-/// Mean decision depth over the full 2048-ID space (used by the Sec. V-B
-/// detection-latency study where injected IDs are uniform).
-[[nodiscard]] double mean_decision_depth_uniform(const DetectionFsm& fsm);
-
 struct CpuEstimate {
   mcu::CpuLoadBreakdown load;
   std::size_t fsm_nodes{};

@@ -68,7 +68,9 @@ std::string IdRangeSet::to_string() const {
 IvnConfig::IvnConfig(std::vector<can::CanId> ecu_ids)
     : ecus_(std::move(ecu_ids)) {
   assert(!ecus_.empty());
-  std::sort(ecus_.begin(), ecus_.end());
+  if (!std::is_sorted(ecus_.begin(), ecus_.end())) {
+    std::sort(ecus_.begin(), ecus_.end());
+  }
   ecus_.erase(std::unique(ecus_.begin(), ecus_.end()), ecus_.end());
   assert(can::is_valid_id(ecus_.back()));
 }

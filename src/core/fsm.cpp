@@ -2,102 +2,78 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace mcan::core {
-namespace {
-
-/// Does [lo, hi] intersect / lie inside the range set?
-enum class Overlap : std::uint8_t { None, Partial, Full };
-
-/// The contiguous run of sorted, disjoint `ranges` that meets [lo, hi].
-std::span<const IdRange> meeting(std::span<const IdRange> ranges,
-                                 std::uint32_t lo, std::uint32_t hi) {
-  const auto first = std::partition_point(
-      ranges.begin(), ranges.end(),
-      [lo](const IdRange& r) { return r.hi < lo; });
-  const auto last = std::partition_point(
-      first, ranges.end(), [hi](const IdRange& r) { return r.lo <= hi; });
-  return {first, last};
-}
-
-/// Classify [lo, hi] from the ranges that meet it.  Normalized ranges never
-/// touch, so two or more of them always leave a gap inside the interval.
-Overlap classify_interval(std::span<const IdRange> meets, std::uint32_t lo,
-                          std::uint32_t hi) {
-  if (meets.empty()) return Overlap::None;
-  if (meets.size() == 1 && meets.front().lo <= lo && meets.front().hi >= hi) {
-    return Overlap::Full;
-  }
-  return Overlap::Partial;
-}
-
-}  // namespace
 
 DetectionFsm DetectionFsm::build(const IdRangeSet& detection_set,
                                  int id_bits) {
   assert(id_bits > 0 && id_bits <= can::kExtIdBits);
   DetectionFsm fsm;
   fsm.id_bits_ = id_bits;
-  fsm.root_ = fsm.build_subtree(detection_set.ranges(), 0, 0);
+  // The ranges that meet the root: those starting inside the ID space.
+  const auto& ranges = detection_set.ranges();
+  const std::uint32_t top = (1u << id_bits) - 1;
+  const auto end = std::partition_point(
+      ranges.begin(), ranges.end(),
+      [top](const IdRange& r) { return r.lo <= top; });
+  fsm.root_ = fsm.build_subtree({ranges.begin(), end}, 0, 0);
   return fsm;
 }
 
-std::int32_t DetectionFsm::build_subtree(std::span<const IdRange> ranges,
+std::int32_t DetectionFsm::build_subtree(std::span<const IdRange> meets,
                                          std::uint32_t prefix, int depth) {
   const int rest = id_bits_ - depth;
   const std::uint32_t lo = prefix << rest;
   const std::uint32_t hi = lo + ((1u << rest) - 1);
-  const auto meets = meeting(ranges, lo, hi);
-  switch (classify_interval(meets, lo, hi)) {
-    case Overlap::None:
-      max_depth_ = std::max(max_depth_, depth);
-      return kBenign;
-    case Overlap::Full:
-      max_depth_ = std::max(max_depth_, depth);
-      return kMalicious;
-    case Overlap::Partial:
-      break;
+  // Normalized ranges never touch, so two or more of them always leave a
+  // gap inside the interval.
+  const bool none = meets.empty();
+  if (none || (meets.size() == 1 && meets.front().lo <= lo &&
+               meets.front().hi >= hi)) {
+    decided_at_[none ? 0 : 1][static_cast<std::size_t>(depth)] += 1u << rest;
+    return none ? kBenign : kMalicious;
   }
   assert(depth < id_bits_);
   const auto index = static_cast<std::int32_t>(nodes_.size());
   nodes_.emplace_back();
+  // Split at the 0-child's last ID; a range that straddles it meets both
+  // children.
+  const std::uint32_t mid = lo + ((1u << (rest - 1)) - 1);
+  const auto split = std::partition_point(
+      meets.begin(), meets.end(),
+      [mid](const IdRange& r) { return r.lo <= mid; });
+  const auto right =
+      split != meets.begin() && std::prev(split)->hi > mid ? std::prev(split)
+                                                           : split;
   // Children must be built after reserving our slot; note the vector may
   // reallocate, so write through the index, not a cached reference.
-  const auto c0 = build_subtree(meets, prefix << 1, depth + 1);
-  const auto c1 = build_subtree(meets, (prefix << 1) | 1, depth + 1);
+  const auto c0 = build_subtree({meets.begin(), split}, prefix << 1, depth + 1);
+  const auto c1 =
+      build_subtree({right, meets.end()}, (prefix << 1) | 1, depth + 1);
   nodes_[static_cast<std::size_t>(index)].child[0] = c0;
   nodes_[static_cast<std::size_t>(index)].child[1] = c1;
   return index;
 }
 
-void DetectionFsm::for_each_leaf(
-    const std::function<void(int, std::uint32_t, bool)>& fn) const {
-  struct Item {
-    std::int32_t node;
-    int depth;
-  };
-  std::vector<Item> stack{{root_, 0}};
-  while (!stack.empty()) {
-    const auto [node, depth] = stack.back();
-    stack.pop_back();
-    if (node < 0) {
-      const auto count = 1u << (id_bits_ - depth);
-      fn(depth, count, node == kMalicious);
-      continue;
-    }
-    const auto& n = nodes_[static_cast<std::size_t>(node)];
-    stack.push_back({n.child[0], depth + 1});
-    stack.push_back({n.child[1], depth + 1});
+int DetectionFsm::max_depth() const noexcept {
+  for (int d = id_bits_; d > 0; --d) {
+    const auto i = static_cast<std::size_t>(d);
+    if (decided_at_[0][i] != 0 || decided_at_[1][i] != 0) return d;
   }
+  return 0;
 }
 
-DetectionFsm::Decision DetectionFsm::decide(can::CanId id) const {
-  Runner r{*this};
-  for (int i = id_bits_ - 1; i >= 0; --i) {
-    if (auto d = r.step(static_cast<int>((id >> i) & 1))) return *d;
+DetectionFsm::Decision DetectionFsm::decide(can::CanId id) const noexcept {
+  std::int32_t state = root_;
+  int depth = 0;
+  while (state >= 0) {
+    assert(depth < id_bits_);
+    ++depth;
+    const auto bit = (id >> (id_bits_ - depth)) & 1;
+    state = nodes_[static_cast<std::size_t>(state)].child[bit];
   }
-  assert(r.decided());
-  return r.decision();
+  return {state == kMalicious, depth};
 }
 
 void DetectionFsm::Runner::reset() {

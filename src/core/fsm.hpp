@@ -8,8 +8,8 @@
 // the mean decision depth over 160,000 random FSMs (Sec. V-B: ~9 bits).
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -33,22 +33,25 @@ class DetectionFsm {
 
   /// Walk the tree for a full ID (reference evaluation used by the
   /// detection-latency study and by tests).
-  [[nodiscard]] Decision decide(can::CanId id) const;
+  [[nodiscard]] Decision decide(can::CanId id) const noexcept;
 
   /// Number of nodes (internal + terminal) — the FSM-complexity metric for
   /// the CPU-utilization model (Sec. V-D).
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
   }
-  [[nodiscard]] int max_depth() const noexcept { return max_depth_; }
+  [[nodiscard]] int max_depth() const noexcept;
   [[nodiscard]] int id_bits() const noexcept { return id_bits_; }
 
-  /// Visit every terminal of the tree: `fn(depth, id_count, malicious)`
-  /// where `id_count` is the number of 11-bit IDs the terminal covers.
-  /// Enables exact O(nodes) computation of decision-depth statistics
-  /// (Sec. V-B) without walking all 2048 IDs.
-  void for_each_leaf(
-      const std::function<void(int, std::uint32_t, bool)>& fn) const;
+  /// The depth histogram recorded by build(): element `d` counts the
+  /// identifiers of the `id_bits`-wide space that decide() judges malicious
+  /// (or benign) after exactly `d` bits.  Gives exact decision-depth
+  /// statistics (Sec. V-B) without walking the tree or the ID space.
+  [[nodiscard]] std::span<const std::uint32_t> decided_at(
+      bool malicious) const noexcept {
+    return std::span{decided_at_[malicious ? 1 : 0]}.first(
+        static_cast<std::size_t>(id_bits_) + 1);
+  }
 
   // --- incremental interface used by the Algorithm-1 monitor --------------
   class Runner {
@@ -83,15 +86,16 @@ class DetectionFsm {
     std::int32_t child[2]{kBenign, kBenign};
   };
 
-  /// `ranges` must hold every range of the set that meets the subtree's
-  /// parent interval (the whole set at the root).
-  std::int32_t build_subtree(std::span<const IdRange> ranges,
+  /// `meets` must be exactly the ranges of the set that meet the subtree's
+  /// ID interval.
+  std::int32_t build_subtree(std::span<const IdRange> meets,
                              std::uint32_t prefix, int depth);
 
   std::vector<Node> nodes_;
   std::int32_t root_{kBenign};  // the whole space may be terminal
-  int max_depth_{0};
   int id_bits_{can::kIdBits};
+  // [benign, malicious][depth]; 2^29 IDs fit a uint32_t at any depth.
+  std::array<std::array<std::uint32_t, can::kExtIdBits + 1>, 2> decided_at_{};
 };
 
 }  // namespace mcan::core

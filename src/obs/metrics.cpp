@@ -33,24 +33,6 @@ void Histogram::merge(const Histogram& other) {
   sum += other.sum;
 }
 
-double Histogram::quantile(double q) const noexcept {
-  if (count == 0 || bounds.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < bounds.size() && i < buckets.size(); ++i) {
-    const auto in_bucket = static_cast<double>(buckets[i]);
-    if (cumulative + in_bucket >= target && in_bucket > 0.0) {
-      const double lower = i == 0 ? 0.0 : bounds[i - 1];
-      const double upper = bounds[i];
-      const double frac = (target - cumulative) / in_bucket;
-      return lower + (upper - lower) * std::clamp(frac, 0.0, 1.0);
-    }
-    cumulative += in_bucket;
-  }
-  return bounds.back();
-}
-
 std::uint64_t& Registry::counter(std::string_view name) {
   const auto it = counters_.find(name);
   if (it != counters_.end()) return it->second;

@@ -33,11 +33,6 @@ struct Histogram {
   void observe(double x) noexcept;
   /// Throws std::invalid_argument if `other` has different bounds.
   void merge(const Histogram& other);
-
-  /// Estimated q-quantile (q in [0,1]) by linear interpolation within the
-  /// containing bucket.  Samples in the overflow bucket clamp to the last
-  /// bound (the histogram cannot see past it).  0 when empty.
-  [[nodiscard]] double quantile(double q) const noexcept;
 };
 
 class Registry {

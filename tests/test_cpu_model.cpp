@@ -22,7 +22,7 @@ TEST(CpuModel, MeanDecisionDepthOverIds) {
   d.add(0x400, 0x7FF);
   const auto fsm = DetectionFsm::build(d);
   // Every ID decides after exactly one bit.
-  EXPECT_DOUBLE_EQ(mean_decision_depth_uniform(fsm), 1.0);
+  EXPECT_EQ(fsm.decided_at(false)[1] + fsm.decided_at(true)[1], 2048u);
   EXPECT_DOUBLE_EQ(mean_decision_depth(fsm, {0x000, 0x700}), 1.0);
   EXPECT_DOUBLE_EQ(mean_decision_depth(fsm, {}), 0.0);
 }

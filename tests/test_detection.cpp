@@ -159,6 +159,9 @@ TEST(IvnConfig, DedupesAndSortsInput) {
   ASSERT_EQ(ivn.ecus().size(), 3u);
   EXPECT_EQ(ivn.ecus()[0], 0x100);
   EXPECT_EQ(ivn.highest(), 0x300);
+  // Already sorted input is only deduplicated.
+  EXPECT_EQ(IvnConfig({0x100, 0x100, 0x200, 0x200}).ecus(),
+            (std::vector<can::CanId>{0x100, 0x200}));
 }
 
 }  // namespace

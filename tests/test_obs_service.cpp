@@ -113,25 +113,6 @@ TEST(SpanCollector, ChromeTraceCarriesOneTraceIdAcrossEveryEvent) {
   EXPECT_NE(doc.find("\"cell 0\""), std::string::npos);
 }
 
-// ------------------------------------------------------------ quantile --
-
-TEST(Histogram, QuantileInterpolatesWithinBuckets) {
-  obs::Histogram h;
-  h.bounds = {10.0, 20.0, 40.0};
-  h.buckets.assign(4, 0);
-  EXPECT_EQ(h.quantile(0.5), 0.0);  // empty
-  for (int i = 0; i < 10; ++i) h.observe(5.0);    // bucket [0,10]
-  for (int i = 0; i < 10; ++i) h.observe(15.0);   // bucket (10,20]
-  EXPECT_NEAR(h.quantile(0.25), 5.0, 1e-9);
-  EXPECT_NEAR(h.quantile(0.5), 10.0, 1e-9);
-  EXPECT_NEAR(h.quantile(0.75), 15.0, 1e-9);
-  EXPECT_NEAR(h.quantile(1.0), 20.0, 1e-9);
-  // Overflow samples clamp to the last bound — the histogram cannot see
-  // past its top bucket.
-  h.observe(1e9);
-  EXPECT_NEAR(h.quantile(1.0), 40.0, 1e-9);
-}
-
 // ------------------------------------------------- telemetry neutrality --
 
 analysis::ExperimentSpec tiny_spec() {
