@@ -9,8 +9,8 @@
 // diagnostics, so no subcommand grows its own drifting argument loop.
 // Scenario operands — `experiment`, `campaign`, `trace`, `fault-sweep` —
 // resolve through analysis::ScenarioRegistry, the same registry
-// `list-scenarios` enumerates and bench_throughput draws from, so a name
-// means the same spec everywhere.
+// `list-scenarios` enumerates and perfbench draws from, so a name means the
+// same spec everywhere.
 #include <fstream>
 #include <iostream>
 #include <optional>

@@ -21,7 +21,6 @@ FILES=(
   src/attack/error_frame.cpp
   src/runner/fault_sweep.hpp
   src/runner/fault_sweep.cpp
-  bench/bench_fault_sweep.cpp
   tests/test_fault_injector.cpp
   tests/test_fault_sweep.cpp
 )

@@ -7,9 +7,9 @@
 // meant Exp. 2 in one place and a fault-sweep cell in another).  The
 // registry is the single source of truth: the CLI's `list-scenarios`
 // subcommand enumerates it, `trace`/`campaign`/`fault-sweep` resolve
-// operands through it, and bench_throughput draws its workload mix from it,
-// so a scenario name in a BENCH_*.json report, a campaign invocation and a
-// test all mean the same spec.
+// operands through it, and perfbench draws its workloads from it, so a
+// scenario name in a BENCH_*.json report, a campaign invocation and a test
+// all mean the same spec.
 //
 // Factories return a *fresh* spec per call (specs are mutable value types:
 // callers override seed/duration/fast_path freely without aliasing).
@@ -40,7 +40,7 @@ class ScenarioRegistry {
   /// The built-in registry: the paper's six Table II experiments (with
   /// numeric and spoof/dos aliases), the error-frame stomper, the Fig. 6
   /// waveform recording, the Sec. V-C multi-attacker cells, the
-  /// bench_throughput workload mix and the canonical fault-sweep cells.
+  /// engine-throughput workloads and the canonical fault-sweep cells.
   [[nodiscard]] static const ScenarioRegistry& built_in();
 
   ScenarioRegistry() = default;

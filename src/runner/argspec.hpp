@@ -20,7 +20,7 @@
 // (Unknown::Reject) or keeps unrecognized arguments in order for a later
 // parser (Unknown::Keep); extract_argv() compacts argc/argv in place, the
 // parse_cli() contract used by drivers that hand leftovers to another
-// front end (benchmark::Initialize, subcommand dispatch).
+// front end (subcommand dispatch).
 #pragma once
 
 #include <cstddef>

@@ -2,8 +2,7 @@
 //
 // parse_cli() consumes the runner flags it understands and *removes* them
 // from argv, so the leftover arguments can be handed to another parser
-// (e.g. benchmark::Initialize in the bench drivers, or the subcommand
-// dispatch of michican_cli).
+// (the subcommand dispatch of michican_cli).
 //
 // Recognized flags ("--flag value" and "--flag=value" both work):
 //   --jobs N        worker threads (0 = hardware concurrency)

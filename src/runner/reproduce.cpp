@@ -18,6 +18,7 @@
 #include "can/bus.hpp"
 #include "core/cpu_model.hpp"
 #include "core/michican_node.hpp"
+#include "mcu/bit_timer.hpp"
 #include "mcu/profile.hpp"
 #include "obs/jsonfmt.hpp"
 #include "restbus/schedulability.hpp"
@@ -83,9 +84,56 @@ DefenseOutcome spoof_flood(sim::BitTime bits, MakeDefender make) {
   return out;
 }
 
-// Every claim, in the paper's order: the campaign grid run_reproduce() lays
-// out, then the Sec. V-B study, the analytic models and the two
-// spoofing-flood runs, each computed in its section.
+struct WindowOutcome {
+  int bused_off{};               // of the 8 attacker IDs
+  double mean_cycle_bits{kInf};  // first SOF -> bus-off, over bused-off IDs
+};
+
+// Sec. IV-E's ablation: eight DLC-1 DoS attackers (one data byte, the
+// paper's worst case), dominant- and recessive-heavy ID LSBs alike, each
+// alone on a bus for 4,000 bits against a 0x173 defender that forces
+// `window` dominant bits per counterattack.
+WindowOutcome counterattack_window(const core::IvnConfig& ivn, int window) {
+  constexpr std::array<can::CanId, 8> kIds{0x050, 0x051, 0x064, 0x0FF,
+                                           0x111, 0x155, 0x0AA, 0x07E};
+  double cycle_sum = 0;
+  WindowOutcome out;
+  for (const auto id : kIds) {
+    can::WiredAndBus bus{sim::BusSpeed{50'000}};
+    core::MichiCanNodeConfig node;
+    node.own_id = 0x173;
+    node.monitor.attack_bits = window;
+    core::MichiCanNode def{"defender", ivn, node};
+    def.attach_to(bus);
+    auto acfg = attack::Attacker::targeted_dos(id);
+    acfg.persistent = false;
+    acfg.dlc = 1;
+    attack::Attacker atk{"attacker", acfg};
+    atk.attach_to(bus);
+    bus.run(4000);
+    if (!atk.node().is_bus_off()) continue;
+    const auto* start = bus.log().first(sim::EventKind::FrameTxStart, 0,
+                                        "attacker");
+    const auto* off = bus.log().first(sim::EventKind::BusOff, 0, "attacker");
+    cycle_sum += static_cast<double>(off->at - start->at);
+    ++out.bused_off;
+  }
+  if (out.bused_off > 0) out.mean_cycle_bits = cycle_sum / out.bused_off;
+  return out;
+}
+
+// Sec. IV-C: bits the 70 % sample point stays inside its cell after one
+// hard sync, at 500 kbit/s and `ppm` oscillator drift.
+double safe_bits_after_sync(double ppm) {
+  mcu::TimingConfig cfg;
+  cfg.bit_time_us = 2.0;
+  cfg.drift_ppm = ppm;
+  return mcu::BitTimer{cfg}.max_safe_bits(100'000);
+}
+
+// Every claim, in the paper's order: the two design ablations, the campaign
+// grid run_reproduce() lays out, then the Sec. V-B study, the analytic
+// models and the two spoofing-flood runs, each computed in its section.
 std::vector<Claim> evaluate(const CampaignReport& rep) {
   std::vector<Claim> out;
   std::string section;
@@ -99,6 +147,28 @@ std::vector<Claim> evaluate(const CampaignReport& rep) {
   const auto table2 = [&rep](int n) -> const SpecAggregate& {
     return rep.specs[static_cast<std::size_t>(n - 1)];
   };
+  const core::IvnConfig ivn{
+      restbus::vehicle_matrix(restbus::Vehicle::D, 1).ecu_ids()};
+
+  section = "Sec. IV-C";
+  // One hard sync per SOF must carry the sample point through a whole frame.
+  constexpr double kFrameBits = 130;
+  add("iv_c.crystal_100ppm_safe_bits",
+      "safe bits after one hard sync, 100 ppm crystal, 500 kbit/s", "bits",
+      kFrameBits, at_least(kFrameBits), safe_bits_after_sync(100));
+  add("iv_c.rc_2000ppm_safe_bits",
+      "safe bits after one hard sync, 2,000 ppm RC oscillator", "bits",
+      kFrameBits, at_most(kFrameBits - 1), safe_bits_after_sync(2000));
+
+  section = "Sec. IV-E";
+  const auto window6 = counterattack_window(ivn, 6);
+  add("iv_e.window6_bused_off", "DLC-1 attackers bused off, 6 forced bits",
+      "IDs", 8, exact(8), window6.bused_off);
+  add("iv_e.window7_bused_off",
+      "DLC-1 attackers bused off, Algorithm 1's 7-bit window", "IDs", 8,
+      exact(8), counterattack_window(ivn, 7).bused_off);
+  add("iv_e.window6_cycle_bits", "mean bus-off cycle, 6 forced bits", "bits",
+      1248, pct(1248, 0.05), window6.mean_cycle_bits);
 
   section = "Table II";
   const std::string restbus_note =
@@ -171,8 +241,6 @@ std::vector<Claim> evaluate(const CampaignReport& rep) {
       budget, at_least(budget), total(5));
 
   section = "Sec. V-D";
-  const core::IvnConfig ivn{
-      restbus::vehicle_matrix(restbus::Vehicle::D, 1).ecu_ids()};
   const auto load = [&ivn](core::Scenario scenario, const mcu::McuProfile& mcu,
                            double bits_per_s) {
     return core::estimate_cpu(ivn, ivn.highest(), scenario, mcu, bits_per_s)

@@ -53,9 +53,9 @@ struct ClaimsReport {
   [[nodiscard]] std::size_t failed() const noexcept;
 };
 
-/// One campaign (Table II's Exps. 1-6, the Sec. V-C sweep at 3-5
-/// attackers, Exp. 3 with the defense off), the Sec. V-B study, the
-/// Table III closed forms and the analytic models.  Throws
+/// The Sec. IV-C/IV-E design ablations, one campaign (Table II's Exps. 1-6,
+/// the Sec. V-C sweep at 3-5 attackers, Exp. 3 with the defense off), the
+/// Sec. V-B study, the Table III closed forms and the analytic models.  Throws
 /// std::invalid_argument on an empty seed range and std::runtime_error
 /// when a campaign cell fails.
 [[nodiscard]] ClaimsReport run_reproduce(const ReproduceConfig& cfg);

@@ -282,26 +282,34 @@ TEST(FaultVariant, BerZeroLeavesSpecUntouched) {
   EXPECT_NE(noisy.label, base.label);
 }
 
+/// The fault-sweep cells: spoofing, DoS and the error-frame stomper.
+std::vector<analysis::ExperimentSpec> sweep_cells() {
+  return {analysis::table2_experiment(2), analysis::table2_experiment(4),
+          analysis::error_frame_experiment()};
+}
+
 TEST(FaultSweep, BerZeroSweepMatchesCleanCampaignByteForByte) {
-  auto spec = analysis::table2_experiment(2);
-  spec.duration = sim::Millis{200.0};
+  for (auto spec : sweep_cells()) {
+    SCOPED_TRACE(spec.label);
+    spec.duration = sim::Millis{200.0};
 
-  runner::FaultSweepConfig sweep;
-  sweep.base_specs = {spec};
-  sweep.bers = {0.0};
-  sweep.seeds = {0, 2};
-  sweep.jobs = 1;
+    runner::FaultSweepConfig sweep;
+    sweep.base_specs = {spec};
+    sweep.bers = {0.0};
+    sweep.seeds = {0, 2};
+    sweep.jobs = 1;
 
-  runner::CampaignConfig plain;
-  plain.specs = {spec};
-  plain.seeds = {0, 2};
-  plain.jobs = 1;
+    runner::CampaignConfig plain;
+    plain.specs = {spec};
+    plain.seeds = {0, 2};
+    plain.jobs = 1;
 
-  const auto swept = runner::run_fault_sweep(sweep);
-  EXPECT_EQ(runner::to_json(swept.campaign),
-            runner::to_json(runner::run_campaign(plain)));
-  ASSERT_EQ(swept.rows.size(), 1u);
-  EXPECT_EQ(swept.rows[0].faults.total(), 0u);
+    const auto swept = runner::run_fault_sweep(sweep);
+    EXPECT_EQ(runner::to_json(swept.campaign),
+              runner::to_json(runner::run_campaign(plain)));
+    ASSERT_EQ(swept.rows.size(), 1u);
+    EXPECT_EQ(swept.rows[0].faults.total(), 0u);
+  }
 }
 
 TEST(FaultSweep, ErrorFrameStomperIsInvisibleToTheMonitor) {

@@ -5,6 +5,8 @@
 // off the bus.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "analysis/experiments.hpp"
 #include "runner/fault_sweep.hpp"
 #include "runner/report.hpp"
@@ -54,18 +56,28 @@ TEST(FaultSweepProperty, DetectionDegradesGracefullyNotCatastrophically) {
   EXPECT_EQ(rep.rows[1].fp_rate, 0.0);
 }
 
-TEST(FaultSweepProperty, SweepIsDeterministicAcrossWorkerCounts) {
-  runner::FaultSweepConfig cfg;
-  cfg.base_specs = {analysis::table2_experiment(4)};
-  cfg.bers = {0.0, 1e-4};
-  cfg.seeds = {0, 3};
-  for (auto& s : cfg.base_specs) s.duration = sim::Millis{500.0};
+/// The fault-sweep cells: spoofing, DoS and the error-frame stomper.
+std::vector<analysis::ExperimentSpec> sweep_cells() {
+  return {analysis::table2_experiment(2), analysis::table2_experiment(4),
+          analysis::error_frame_experiment()};
+}
 
-  cfg.jobs = 1;
-  const auto serial = runner::run_fault_sweep(cfg);
-  cfg.jobs = 4;
-  const auto parallel = runner::run_fault_sweep(cfg);
-  EXPECT_EQ(runner::to_json(serial), runner::to_json(parallel));
+TEST(FaultSweepProperty, SweepIsDeterministicAcrossWorkerCounts) {
+  for (auto spec : sweep_cells()) {
+    SCOPED_TRACE(spec.label);
+    spec.duration = sim::Millis{500.0};
+
+    runner::FaultSweepConfig cfg;
+    cfg.base_specs = {spec};
+    cfg.bers = {0.0, 1e-4};
+    cfg.seeds = {0, 3};
+
+    cfg.jobs = 1;
+    const auto serial = runner::run_fault_sweep(cfg);
+    cfg.jobs = 4;
+    const auto parallel = runner::run_fault_sweep(cfg);
+    EXPECT_EQ(runner::to_json(serial), runner::to_json(parallel));
+  }
 }
 
 }  // namespace
