@@ -196,12 +196,19 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
       const auto task_start = Clock::now();
       // Fetch-or-compute through the cell store.  A fetched entry that
       // fails to decode is treated exactly like a miss: recompute, then
-      // re-store over the bad bytes — but counted as corrupt.
+      // re-store over the bad bytes — but counted as corrupt.  The store's
+      // own calls are timed as the task's cache.fetch and cache.store
+      // phases (runtime block only; never task.*, which is the cell's
+      // compute time).
+      double fetch_ms = 0;
       if (cfg.cells != nullptr) {
         obs::SpanCollector::Scope probe{cfg.spans, "cell.probe", "cell",
                                         cfg.spans_parent};
         probe.set_track(1 + static_cast<int>(cell.slot));
-        if (const auto bytes = cfg.cells->fetch(cell.key)) {
+        const auto fetch_start = Clock::now();
+        const auto bytes = cfg.cells->fetch(cell.key);
+        fetch_ms = elapsed_ms(fetch_start);
+        if (bytes) {
           if (decode_cell(*bytes, task.result)) {
             task.ok = true;
             task.cached = true;
@@ -232,8 +239,16 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
           task.error = "unknown exception";
         }
         if (task.ok && cfg.cells != nullptr) {
-          cfg.cells->store(cell.key, encode_cell(task.result));
+          const auto bytes = encode_cell(task.result);
+          const auto store_start = Clock::now();
+          cfg.cells->store(cell.key, bytes);
+          task.result.profile.add("cache.store", elapsed_ms(store_start));
         }
+      }
+      // Added last: a hit's decode and a miss's compute both overwrite the
+      // task's result, profile included.
+      if (cfg.cells != nullptr) {
+        task.result.profile.add("cache.fetch", fetch_ms);
       }
       task.wall_ms = elapsed_ms(task_start);
       std::lock_guard<std::mutex> lock{progress_mu};

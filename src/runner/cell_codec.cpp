@@ -227,7 +227,6 @@ std::string encode_cell(const analysis::ExperimentResult& res) {
   w.u64(res.error_frame_stomps);
   w.f64(res.busy_fraction);
   w.f64(res.first_cycle_total_bits);
-  w.str(res.fig6_trace);
   put_registry(w, res.metrics);
   return w.take();
 }
@@ -264,7 +263,7 @@ bool decode_cell(std::string_view bytes, analysis::ExperimentResult& out) {
       !r.u64(out.faults.sample_slips) || !r.u64(out.false_detections) ||
       !r.u64(out.attacker_frames) || !r.u64(out.error_frame_stomps) ||
       !r.f64(out.busy_fraction) || !r.f64(out.first_cycle_total_bits) ||
-      !r.str(out.fig6_trace) || !get_registry(r, out.metrics)) {
+      !get_registry(r, out.metrics)) {
     return false;
   }
   out.defender_tec = static_cast<int>(tec);

@@ -4,11 +4,12 @@
 // analysis::ExperimentResult — every field the campaign aggregation and the
 // michican.campaign.v1 report read: attacker outcomes (including the raw
 // per-cycle samples the pooled percentiles are computed from), defender
-// health, detection/fault forensics, the Fig. 6 trace and the full metrics
-// registry.  Runtime facts (profile wall clocks, bits_skipped/bits_batched,
-// timeline exports) are deliberately absent: they are not part of the
-// deterministic report section, and caching them would make a warm run
-// claim a cold run's wall clocks.
+// health, detection/fault forensics and the full metrics registry.  Runtime
+// facts (profile wall clocks, bits_skipped/bits_batched, timeline exports)
+// are deliberately absent: they are not part of the deterministic report
+// section, and caching them would make a warm run claim a cold run's wall
+// clocks.  So is the rendered Fig. 6 trace: no aggregation or report reads
+// it, only tests that call run_experiment directly.
 //
 // The format is little-endian binary with doubles stored as raw bit
 // patterns, so a decode → re-encode round trip is byte-identical and the

@@ -26,9 +26,9 @@
 // CellStore is the narrow interface run_campaign() talks through.
 // MemoryStore is the in-process implementation (tests, single-run reuse);
 // `michican_cli campaign --cache-dir` and perfbench plug in
-// serve::DiskStore (one hash-verified file per cell, persistent across
-// runs).  A null CampaignConfig::cells means "compute every cell" —
-// existing call sites keep working unchanged.
+// serve::DiskStore (one append-only pack of hash-verified records per
+// cache directory, persistent across runs).  A null CampaignConfig::cells
+// means "compute every cell" — existing call sites keep working unchanged.
 #pragma once
 
 #include <cstddef>
@@ -48,7 +48,7 @@ namespace mcan::runner {
 /// cell's deterministic result bytes (protocol model, codec layout,
 /// aggregation inputs), and every previously cached cell goes stale at
 /// once — no manual cache flush, no corrupt reuse.
-inline constexpr std::string_view kEngineVersion = "michican-cell-v2";
+inline constexpr std::string_view kEngineVersion = "michican-cell-v3";
 
 /// Incremental FNV-1a 64-bit content hash.  Not cryptographic — the cache
 /// is a local trusted store; what matters is stability across runs and

@@ -1,71 +1,86 @@
 #include "serve/disk_store.hpp"
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <array>
 #include <cerrno>
-#include <cinttypes>
-#include <cstdio>
-#include <fstream>
+#include <cstring>
 #include <stdexcept>
 #include <system_error>
 
 namespace mcan::serve {
 namespace {
 
-constexpr std::string_view kHeaderMagic = "MCST1 ";
-constexpr std::string_view kEntrySuffix = ".cell";
-constexpr std::string_view kTempSuffix = ".tmp";
+constexpr std::string_view kPackName = "cells.pack";
+constexpr std::string_view kRecordMagic = "MCPK";
+constexpr std::size_t kHeaderSize = 24;
+/// Longer than any CellKey::id(): a longer id field is a torn or rotted
+/// header, not a record.
+constexpr std::uint64_t kMaxIdLen = 256;
 
-std::uint64_t payload_hash(std::string_view bytes) {
+std::uint64_t record_hash(std::string_view id, std::string_view payload) {
   runner::Fingerprint fp;
-  fp.mix_bytes(bytes.data(), bytes.size());
+  fp.mix_str(id);
+  fp.mix_bytes(payload.data(), payload.size());
   return fp.digest();
 }
 
-std::string make_header(std::uint64_t hash, std::uint64_t len) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "MCST1 %016" PRIx64 " %" PRIu64 "\n", hash,
-                len);
-  return buf;
+void put_le(char* out, std::uint64_t v, std::size_t bytes) {
+  for (std::size_t i = 0; i < bytes; ++i) {
+    out[i] = static_cast<char>(v >> (8 * i));
+  }
 }
 
-/// Parse "MCST1 <hex16> <decimal>\n" at the front of `file`; returns the
-/// offset of the payload, or 0 on any malformation.
-std::size_t parse_header(std::string_view file, std::uint64_t& hash,
-                         std::uint64_t& len) {
-  if (file.substr(0, kHeaderMagic.size()) != kHeaderMagic) return 0;
-  std::size_t pos = kHeaderMagic.size();
-  if (file.size() - pos < 17 || file[pos + 16] != ' ') return 0;
-  hash = 0;
-  for (std::size_t i = 0; i < 16; ++i) {
-    const char c = file[pos + i];
-    hash <<= 4;
-    if (c >= '0' && c <= '9') {
-      hash |= static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      hash |= static_cast<std::uint64_t>(c - 'a' + 10);
-    } else {
-      return 0;
-    }
+std::uint64_t get_le(const char* in, std::size_t bytes) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < bytes; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(in[i]))
+         << (8 * i);
   }
-  pos += 17;
-  len = 0;
-  bool any = false;
-  while (pos < file.size() && file[pos] >= '0' && file[pos] <= '9') {
-    len = len * 10 + static_cast<std::uint64_t>(file[pos] - '0');
-    ++pos;
-    any = true;
-    if (len > (1ull << 40)) return 0;  // absurd
-  }
-  if (!any || pos >= file.size() || file[pos] != '\n') return 0;
-  return pos + 1;
+  return v;
 }
 
-std::optional<std::string> read_file(const std::filesystem::path& p) {
-  std::ifstream in{p, std::ios::binary};
-  if (!in) return std::nullopt;
-  std::string data{std::istreambuf_iterator<char>{in},
-                   std::istreambuf_iterator<char>{}};
-  if (in.bad()) return std::nullopt;
-  return data;
+std::string encode_record(std::string_view id, std::string_view payload,
+                          std::uint64_t hash) {
+  std::string rec(kHeaderSize + id.size() + payload.size(), '\0');
+  char* p = rec.data();
+  std::memcpy(p, kRecordMagic.data(), kRecordMagic.size());
+  put_le(p + 4, id.size(), 4);
+  put_le(p + 8, payload.size(), 8);
+  put_le(p + 16, hash, 8);
+  std::memcpy(p + kHeaderSize, id.data(), id.size());
+  std::memcpy(p + kHeaderSize + id.size(), payload.data(), payload.size());
+  return rec;
+}
+
+/// Read exactly `len` bytes at `offset`; false on an error or end of file.
+bool read_at(int fd, char* buf, std::size_t len, std::uint64_t offset) {
+  while (len > 0) {
+    const auto n = ::pread(fd, buf, len, static_cast<off_t>(offset));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    buf += n;
+    len -= static_cast<std::size_t>(n);
+    offset += static_cast<std::uint64_t>(n);
+  }
+  return true;
+}
+
+/// Write all of `bytes` at `offset`; false on an error.
+bool write_at(int fd, std::string_view bytes, std::uint64_t offset) {
+  while (!bytes.empty()) {
+    const auto n =
+        ::pwrite(fd, bytes.data(), bytes.size(), static_cast<off_t>(offset));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    bytes.remove_prefix(static_cast<std::size_t>(n));
+    offset += static_cast<std::uint64_t>(n);
+  }
+  return true;
 }
 
 }  // namespace
@@ -74,113 +89,138 @@ DiskStore::DiskStore(std::filesystem::path dir) : dir_(std::move(dir)) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   if (ec || !std::filesystem::is_directory(dir_)) {
-    throw std::runtime_error("DiskStore: cannot create cache dir " +
-                             dir_.string());
+    throw std::runtime_error(
+        std::string{"DiskStore: cannot create cache dir "} + dir_.string());
   }
-
-  // Index surviving entries; sweep stray temp files from a crashed store().
-  for (const auto& de : std::filesystem::directory_iterator{dir_, ec}) {
-    const auto name = de.path().filename().string();
-    if (name.size() > kTempSuffix.size() &&
-        name.compare(name.size() - kTempSuffix.size(), kTempSuffix.size(),
-                     kTempSuffix) == 0) {
-      std::filesystem::remove(de.path(), ec);
-      continue;
-    }
-    if (name.size() <= kEntrySuffix.size() ||
-        name.compare(name.size() - kEntrySuffix.size(), kEntrySuffix.size(),
-                     kEntrySuffix) != 0 ||
-        !de.is_regular_file(ec)) {
-      continue;
-    }
-    const auto size = de.file_size(ec);
-    if (ec) continue;
-    // "MCST1 " + 16-hex hash + space + >=1 length digit + newline.
-    const auto header_min = kHeaderMagic.size() + 19;
-    if (size < header_min) {
-      // Too short to hold even a header: a torn write from a crash.  Sweep
-      // it now and count it, instead of indexing it and letting a later
-      // fetch trip over it.
-      std::filesystem::remove(de.path(), ec);
-      ++stats_.corrupt;
-      continue;
-    }
-    const std::uint64_t payload = size - header_min;  // refined on fetch
-    index_[name.substr(0, name.size() - kEntrySuffix.size())] = payload;
-    stats_.bytes += payload;
+  const auto pack = dir_ / kPackName;
+  fd_ = ::open(pack.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  if (fd_ < 0) {
+    throw std::runtime_error(std::string{"DiskStore: cannot open "} +
+                             pack.string() + ": " + std::strerror(errno));
   }
-  stats_.entries = index_.size();
+  if (::flock(fd_, LOCK_EX | LOCK_NB) != 0) {
+    const int err = errno;
+    ::close(fd_);
+    throw std::runtime_error(
+        err == EWOULDBLOCK
+            ? std::string{"DiskStore: cache dir "} + dir_.string() +
+                  " is in use by another store"
+            : std::string{"DiskStore: cannot lock "} + pack.string() + ": " +
+                  std::strerror(err));
+  }
+  try {
+    index_pack();
+  } catch (...) {
+    ::close(fd_);
+    throw;
+  }
 }
 
-std::filesystem::path DiskStore::path_for(std::string_view id) const {
-  return dir_ / (std::string{id} + std::string{kEntrySuffix});
+DiskStore::~DiskStore() { ::close(fd_); }
+
+void DiskStore::index_pack() {
+  struct stat st {};
+  if (::fstat(fd_, &st) != 0) {
+    throw std::runtime_error(
+        std::string{"DiskStore: cannot stat the pack in "} + dir_.string());
+  }
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  // One read per record covers its header and key id; payloads are skipped.
+  std::array<char, kHeaderSize + kMaxIdLen> buf{};
+  std::uint64_t off = 0;
+  while (off < size) {
+    const auto avail = static_cast<std::size_t>(
+        std::min<std::uint64_t>(buf.size(), size - off));
+    if (avail < kHeaderSize || !read_at(fd_, buf.data(), avail, off) ||
+        std::string_view{buf.data(), kRecordMagic.size()} != kRecordMagic) {
+      break;
+    }
+    const auto id_len = get_le(buf.data() + 4, 4);
+    const auto len = get_le(buf.data() + 8, 8);
+    if (id_len == 0 || kHeaderSize + id_len > avail) break;
+    const std::uint64_t payload = off + kHeaderSize + id_len;
+    if (len > size - payload) break;
+    put(std::string{buf.data() + kHeaderSize, static_cast<std::size_t>(id_len)},
+        Slot{payload, len, get_le(buf.data() + 16, 8)});
+    off = payload + len;
+  }
+  end_ = off;
+  if (end_ < size) {
+    // A torn tail: the record a killed run was appending.  Cut it so the
+    // next append starts on a record boundary.
+    ++stats_.corrupt;
+    if (::ftruncate(fd_, static_cast<off_t>(end_)) != 0) {
+      throw std::runtime_error(
+          std::string{"DiskStore: cannot truncate the torn tail of the pack "
+                      "in "} +
+          dir_.string());
+    }
+  }
+}
+
+void DiskStore::put(const std::string& id, const Slot& slot) {
+  const auto [it, fresh] = index_.try_emplace(id, slot);
+  if (!fresh) {
+    stats_.bytes -= it->second.len;
+    it->second = slot;
+  }
+  stats_.bytes += slot.len;
+  stats_.entries = index_.size();
 }
 
 std::optional<std::string> DiskStore::fetch(const runner::CellKey& key) {
   const std::string id = key.id();
-  std::lock_guard<std::mutex> lock{mu_};
-  const auto it = index_.find(id);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
+  Slot slot;
+  {
+    std::lock_guard<std::mutex> lock{mu_};
+    const auto it = index_.find(id);
+    if (it == index_.end()) {
+      ++stats_.misses;
+      return std::nullopt;
+    }
+    slot = it->second;
   }
-  auto file = read_file(path_for(id));
-  std::uint64_t hash = 0;
-  std::uint64_t len = 0;
-  std::size_t offset = 0;
-  if (!file || (offset = parse_header(*file, hash, len)) == 0 ||
-      file->size() - offset != len ||
-      payload_hash(std::string_view{*file}.substr(offset)) != hash) {
-    // Torn, truncated, or rotted: discard and report a miss so the caller
-    // recomputes.  Never serve bytes that fail their own hash.
-    std::error_code ec;
-    std::filesystem::remove(path_for(id), ec);
-    stats_.bytes -= it->second;
+  // Indexed records are never rewritten, so the read and the hash run
+  // outside the lock.
+  std::string payload(static_cast<std::size_t>(slot.len), '\0');
+  const bool ok = read_at(fd_, payload.data(), payload.size(), slot.offset) &&
+                  record_hash(id, payload) == slot.hash;
+  std::lock_guard<std::mutex> lock{mu_};
+  if (ok) {
+    ++stats_.hits;
+    return payload;
+  }
+  // Truncated or rotted: drop the entry (unless a store has superseded it
+  // meanwhile) and report a miss so the caller recomputes.  Never serve
+  // bytes that fail their own hash.
+  const auto it = index_.find(id);
+  if (it != index_.end() && it->second.offset == slot.offset) {
+    stats_.bytes -= it->second.len;
     index_.erase(it);
     stats_.entries = index_.size();
-    ++stats_.corrupt;
-    ++stats_.misses;
-    return std::nullopt;
   }
-  // True payload length may differ from the startup scan's estimate; fix
-  // the accounting on first touch.
-  stats_.bytes = stats_.bytes - it->second + len;
-  it->second = len;
-  ++stats_.hits;
-  return file->substr(offset);
+  ++stats_.corrupt;
+  ++stats_.misses;
+  return std::nullopt;
 }
 
 void DiskStore::store(const runner::CellKey& key, std::string_view bytes) {
   const std::string id = key.id();
-  const auto hash = payload_hash(bytes);
-  const auto final_path = path_for(id);
-  const auto tmp_path =
-      dir_ / (id + std::string{kEntrySuffix} + std::string{kTempSuffix});
+  const auto hash = record_hash(id, bytes);
+  const std::string rec = encode_record(id, bytes, hash);
 
   std::lock_guard<std::mutex> lock{mu_};
-  {
-    std::ofstream out{tmp_path, std::ios::binary | std::ios::trunc};
-    if (!out) return;  // cache write failure is non-fatal: next run recomputes
-    out << make_header(hash, bytes.size());
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      std::filesystem::remove(tmp_path, ec);
-      return;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, final_path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp_path, ec);
+  if (!write_at(fd_, rec, end_)) {
+    // A cache write failure is non-fatal (the next run recomputes), but the
+    // pack must end on a whole record.  If even this truncate fails, the
+    // next append starts at the same offset, and the next open cuts
+    // whatever is left past the last whole record.
+    [[maybe_unused]] const int rc =
+        ::ftruncate(fd_, static_cast<off_t>(end_));
     return;
   }
-
-  auto& held = index_[id];
-  stats_.bytes = stats_.bytes - held + bytes.size();
-  held = bytes.size();
-  stats_.entries = index_.size();
+  put(id, Slot{end_ + kHeaderSize + id.size(), bytes.size(), hash});
+  end_ += rec.size();
   ++stats_.stores;
 }
 

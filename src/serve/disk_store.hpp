@@ -1,25 +1,38 @@
 // On-disk content-addressed cell cache backing `michican_cli campaign
 // --cache-dir` (and perfbench's cache-replay workload).
 //
-// Layout: one file per cell under the cache directory, named "<key id>.cell"
-// (the CellKey::id() content address — spec hash, derived seed, engine
-// version — so a key change is a different file, never a reinterpretation).
-// Each file is a one-line header followed by the raw payload:
+// Layout: one append-only pack file, "cells.pack", per cache directory.
+// Each stored cell is one record: a 24-byte little-endian header, the key
+// id (the CellKey::id() content address — spec hash, derived seed, engine
+// version — so a key change is a different record, never a
+// reinterpretation), then the raw payload:
 //
-//   MCST1 <fnv64 hex, 16 digits> <payload length decimal>\n<payload bytes>
+//   "MCPK" | u32 id length | u64 payload length | u64 hash | id | payload
 //
-// The header's hash is re-verified on every fetch.  Any mismatch — torn
-// write, truncation, bit rot, hand editing — deletes the entry, counts it
-// as `corrupt`, and reports a miss: the caller recomputes and re-stores.
-// Corruption is never fatal and never served.
+// The hash is FNV-1a over the key id and the payload, and it is re-verified
+// on every fetch.  Any mismatch — bit rot, hand editing, a pack cut short
+// under a live store — drops the entry, counts it as `corrupt`, and reports
+// a miss: the caller recomputes and re-stores.  Corruption is never fatal
+// and never served.
 //
-// Writes go through a temp file + rename() in the same directory, so a
-// reader can never observe a half-written entry and a crash mid-store
-// leaves at most a stray ".tmp" file (swept at startup).  A run killed
-// part-way therefore resumes from every cell it finished.
+// A store is one append; a fetch is one positioned read at the offset the
+// index holds.  Opening the store rebuilds that index from the record
+// headers alone (payloads are skipped, never read into memory), so the byte
+// counts in stats() are exact.  A later record of a key supersedes an
+// earlier one.  A tail too short to hold its whole record — a run killed
+// mid-append, or a failed write — is truncated away at open and counted as
+// one `corrupt`; a failed or short append truncates the pack back to its
+// last whole record at once.  A run killed part-way therefore resumes from
+// every record it finished.
 //
-// The store never evicts: entries are small (a few KiB per cell) and keyed
-// by engine version, so clearing a stale cache is `rm -r DIR`.
+// The store holds the pack open under an exclusive flock() for its whole
+// lifetime.  flock() locks the open file description, so a second store on
+// the same directory — in another process or in this one — fails to open
+// with a std::runtime_error instead of interleaving appends.
+//
+// The store never evicts or compacts: records are small (a few KiB per
+// cell) and keyed by engine version, so clearing a stale cache is
+// `rm -r DIR`.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +49,15 @@ namespace mcan::serve {
 
 class DiskStore final : public runner::CellStore {
  public:
-  /// Opens (creating if needed) the cache directory and indexes existing
-  /// entries.  Throws std::runtime_error if the directory cannot be
-  /// created.
+  /// Opens (creating if needed) the cache directory and its pack, locks the
+  /// pack and indexes its records.  Throws std::runtime_error if the
+  /// directory or the pack cannot be created or opened, or if another live
+  /// store holds the directory.
   explicit DiskStore(std::filesystem::path dir);
+  ~DiskStore() override;
+
+  DiskStore(const DiskStore&) = delete;
+  DiskStore& operator=(const DiskStore&) = delete;
 
   [[nodiscard]] std::optional<std::string> fetch(
       const runner::CellKey& key) override;
@@ -49,12 +67,23 @@ class DiskStore final : public runner::CellStore {
   [[nodiscard]] const std::filesystem::path& dir() const { return dir_; }
 
  private:
-  [[nodiscard]] std::filesystem::path path_for(std::string_view id) const;
+  /// Where a record's payload sits in the pack, and its stored hash.
+  struct Slot {
+    std::uint64_t offset{};
+    std::uint64_t len{};
+    std::uint64_t hash{};
+  };
+
+  void index_pack();
+  /// Index `slot` under `id`, superseding any earlier record of the key.
+  void put(const std::string& id, const Slot& slot);
 
   std::filesystem::path dir_;
+  int fd_{-1};
 
   mutable std::mutex mu_;
-  std::map<std::string, std::uint64_t> index_;  // key id -> payload bytes
+  std::map<std::string, Slot, std::less<>> index_;  // key id -> record
+  std::uint64_t end_{0};  // end of the last whole record
   Stats stats_;
 };
 

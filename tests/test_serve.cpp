@@ -1,12 +1,15 @@
 // The CellStore seam behind `campaign --cache-dir`: cache-key
 // fingerprints, the cell codec, cold-vs-warm and partially-warm byte
-// identity through run_campaign(), DiskStore pathologies (corruption,
-// torn writes, engine-version invalidation), report-write failures, and the
-// test-only JSON reader the trace tests parse with.
+// identity through run_campaign(), the cache.fetch/cache.store profile
+// phases, DiskStore pathologies on its pack (corruption, torn tails,
+// superseded records, a second live store, engine-version invalidation),
+// report-write failures, and the test-only JSON reader the trace tests
+// parse with.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include <unistd.h>
 
@@ -184,6 +187,35 @@ TEST(CampaignCache, PartiallyWarmStoreResumesByteIdentical) {
             runner::to_json(runner::run_campaign(cold)));
 }
 
+TEST(CampaignCache, ProfileTimesEveryFetchAndStore) {
+  runner::MemoryStore store;
+  auto cfg = small_campaign(&store);
+  const auto cold = runner::run_campaign(cfg);
+  const auto warm = runner::run_campaign(cfg);
+  const auto uncached = runner::run_campaign(small_campaign());
+  const auto calls = [](const runner::CampaignReport& rep,
+                        std::string_view phase) -> std::uint64_t {
+    const auto it = rep.profile.phases().find(phase);
+    return it == rep.profile.phases().end() ? 0 : it->second.calls;
+  };
+  EXPECT_EQ(calls(cold, "cache.store"), cold.cache_misses);
+  EXPECT_EQ(calls(warm, "cache.fetch"), warm.cache_hits);
+  EXPECT_EQ(calls(warm, "cache.store"), 0u);
+  EXPECT_EQ(calls(uncached, "cache.fetch"), 0u);
+
+  // The phases show in the runtime block and nowhere before it.
+  runner::JsonOptions opts;
+  opts.include_runtime = true;
+  const auto warm_json = runner::to_json(warm, opts);
+  EXPECT_NE(warm_json.find("\"cache.fetch\":{\"calls\":"), std::string::npos);
+  const auto before_runtime = [&opts](const runner::CampaignReport& rep) {
+    const auto json = runner::to_json(rep, opts);
+    return json.substr(0, json.find(",\"runtime\":"));
+  };
+  EXPECT_EQ(before_runtime(cold), before_runtime(uncached));
+  EXPECT_EQ(before_runtime(warm), before_runtime(uncached));
+}
+
 TEST(CampaignCache, DecodeCorruptEntryIsCountedAndRecomputed) {
   runner::MemoryStore store;
   auto cfg = small_campaign(&store);
@@ -206,6 +238,15 @@ TEST(CampaignCache, DecodeCorruptEntryIsCountedAndRecomputed) {
 
 // ----------------------------------------------------------- DiskStore --
 
+fs::path pack_of(const fs::path& dir) { return dir / "cells.pack"; }
+
+/// Overwrite the byte `from_end` bytes before the end of `file`.
+void flip_byte_from_end(const fs::path& file, std::streamoff from_end) {
+  std::fstream f{file, std::ios::in | std::ios::out | std::ios::binary};
+  f.seekp(-from_end, std::ios::end);
+  f.put('!');
+}
+
 TEST(DiskStore, PersistsAcrossInstances) {
   const auto dir = scratch_dir("persist");
   runner::CellKey key;
@@ -218,7 +259,12 @@ TEST(DiskStore, PersistsAcrossInstances) {
   }
   serve::DiskStore reopened{dir};
   EXPECT_EQ(reopened.stats().entries, 1u);
+  EXPECT_EQ(reopened.stats().bytes, 10u);  // exact, from the record header
   EXPECT_EQ(reopened.fetch(key).value_or(""), "hello cell");
+  // One pack per directory, nothing beside it.
+  std::vector<fs::path> files;
+  for (const auto& de : fs::directory_iterator{dir}) files.push_back(de.path());
+  EXPECT_EQ(files, std::vector<fs::path>{pack_of(dir)});
   fs::remove_all(dir);
 }
 
@@ -229,15 +275,15 @@ TEST(DiskStore, TruncatedEntryIsCorruptNotFatal) {
   key.spec_hash = 1;
   store.store(key, std::string(256, 'x'));
 
-  // Truncate the entry file mid-payload: the stored hash can no longer
-  // verify, so the fetch must report a miss and discard the entry.
-  const auto file = dir / (key.id() + ".cell");
-  ASSERT_TRUE(fs::exists(file));
-  fs::resize_file(file, fs::file_size(file) / 2);
+  // Cut the pack mid-record: the payload can no longer be read whole, so
+  // the fetch must report a miss and drop the entry.
+  const auto pack = pack_of(dir);
+  ASSERT_TRUE(fs::exists(pack));
+  fs::resize_file(pack, fs::file_size(pack) / 2);
 
   EXPECT_FALSE(store.fetch(key).has_value());
   EXPECT_EQ(store.stats().corrupt, 1u);
-  EXPECT_FALSE(fs::exists(file));
+  EXPECT_EQ(store.stats().entries, 0u);
 
   // Recompute-and-restore works after the discard.
   store.store(key, std::string(256, 'x'));
@@ -252,34 +298,104 @@ TEST(DiskStore, FlippedPayloadByteIsCorruptNotFatal) {
   key.spec_hash = 2;
   store.store(key, "payload-that-will-rot");
 
-  const auto file = dir / (key.id() + ".cell");
-  {
-    std::fstream f{file, std::ios::in | std::ios::out | std::ios::binary};
-    f.seekp(-3, std::ios::end);
-    f.put('!');
-  }
+  flip_byte_from_end(pack_of(dir), 3);
   EXPECT_FALSE(store.fetch(key).has_value());
   EXPECT_EQ(store.stats().corrupt, 1u);
+
+  store.store(key, "payload-that-will-rot");
+  EXPECT_EQ(store.fetch(key).value_or(""), "payload-that-will-rot");
   fs::remove_all(dir);
 }
 
 TEST(DiskStore, StartupSweepDropsAndCountsTornShortFiles) {
   const auto dir = scratch_dir("sweep");
+  runner::CellKey key;
+  key.spec_hash = 5;
   {
     serve::DiskStore store{dir};
-    runner::CellKey key;
-    key.spec_hash = 5;
     store.store(key, "survives the restart");
   }
-  // A file too short to hold even a header is a torn write from a crash.
-  const auto torn = dir / "torn-entry.cell";
-  std::ofstream{torn, std::ios::binary} << "MCST";
+  // A header cut short by a killed run: the pack's torn tail.
+  const auto pack = pack_of(dir);
+  const auto whole = fs::file_size(pack);
+  std::ofstream{pack, std::ios::binary | std::ios::app} << "MCPK\x10";
 
   serve::DiskStore reopened{dir};
   const auto s = reopened.stats();
   EXPECT_EQ(s.corrupt, 1u);
-  EXPECT_EQ(s.entries, 1u);  // only the valid entry was indexed
-  EXPECT_FALSE(fs::exists(torn));
+  EXPECT_EQ(s.entries, 1u);  // only the whole record was indexed
+  EXPECT_EQ(fs::file_size(pack), whole);  // and the tail is cut away
+  EXPECT_EQ(reopened.fetch(key).value_or(""), "survives the restart");
+  fs::remove_all(dir);
+}
+
+TEST(DiskStore, StoreAfterATornTailSurvivesAnotherReopen) {
+  const auto dir = scratch_dir("resume");
+  runner::CellKey a;
+  a.spec_hash = 3;
+  runner::CellKey b;
+  b.spec_hash = 4;
+  const std::string b_bytes(64, 'b');
+  {
+    serve::DiskStore store{dir};
+    store.store(a, "first");
+    store.store(b, b_bytes);
+  }
+  // A run killed mid-append leaves its last record cut short.
+  fs::resize_file(pack_of(dir), fs::file_size(pack_of(dir)) - 10);
+  {
+    serve::DiskStore resumed{dir};
+    EXPECT_EQ(resumed.stats().corrupt, 1u);
+    EXPECT_EQ(resumed.stats().entries, 1u);
+    EXPECT_FALSE(resumed.fetch(b).has_value());
+    resumed.store(b, b_bytes);  // appended where the torn record began
+  }
+  serve::DiskStore again{dir};
+  EXPECT_EQ(again.stats().corrupt, 0u);
+  EXPECT_EQ(again.stats().entries, 2u);
+  EXPECT_EQ(again.fetch(a).value_or(""), "first");
+  EXPECT_EQ(again.fetch(b).value_or(""), b_bytes);
+  fs::remove_all(dir);
+}
+
+TEST(DiskStore, ReStoreAfterACorruptFetchSupersedesItAcrossAReopen) {
+  const auto dir = scratch_dir("supersede");
+  runner::CellKey key;
+  key.spec_hash = 6;
+  {
+    serve::DiskStore store{dir};
+    store.store(key, "good bytes");
+  }
+  flip_byte_from_end(pack_of(dir), 1);
+  {
+    serve::DiskStore store{dir};
+    EXPECT_FALSE(store.fetch(key).has_value());
+    EXPECT_EQ(store.stats().corrupt, 1u);
+    store.store(key, "good bytes");
+  }
+  // The rotted record is still in the pack; the later one wins.
+  serve::DiskStore reopened{dir};
+  EXPECT_EQ(reopened.stats().entries, 1u);
+  EXPECT_EQ(reopened.stats().bytes, 10u);
+  EXPECT_EQ(reopened.fetch(key).value_or(""), "good bytes");
+  EXPECT_EQ(reopened.stats().corrupt, 0u);
+  fs::remove_all(dir);
+}
+
+TEST(DiskStore, SecondLiveStoreOnTheSameDirThrows) {
+  const auto dir = scratch_dir("locked");
+  {
+    serve::DiskStore first{dir};
+    try {
+      serve::DiskStore second{dir};
+      ADD_FAILURE() << "a second live store opened " << dir;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string{e.what()}.find(dir.string()), std::string::npos)
+          << e.what();
+    }
+  }
+  // The lock goes with its store.
+  EXPECT_NO_THROW(serve::DiskStore{dir});
   fs::remove_all(dir);
 }
 
