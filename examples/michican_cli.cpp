@@ -238,7 +238,13 @@ int cmd_campaign(const runner::CliOptions& opts,
   cfg.jobs = opts.jobs;
   if (opts.progress) cfg.progress = runner::print_progress;
   std::optional<serve::DiskStore> store;
-  if (!cache_dir.empty()) cfg.cells = &store.emplace(cache_dir);
+  // A torn tail the store cut at open, left by a killed run, happens
+  // before the campaign, so the report does not count it.
+  std::uint64_t corrupt_at_open = 0;
+  if (!cache_dir.empty()) {
+    cfg.cells = &store.emplace(cache_dir);
+    corrupt_at_open = store->stats().corrupt;
+  }
   const auto rep = runner::run_campaign(cfg);
 
   analysis::AsciiTable t{{"Exp", "Attacker", "Seeds", "Failed", "Cycles",
@@ -261,7 +267,8 @@ int cmd_campaign(const runner::CliOptions& opts,
                          fmt(rep.wall_ms, 0) + " ms wall:");
   if (store) {
     std::cout << "cache: " << rep.cache_hits << " hits, " << rep.cache_misses
-              << " misses (" << cache_dir << ")\n";
+              << " misses, " << corrupt_at_open + rep.cache_corrupt
+              << " corrupt (" << cache_dir << ")\n";
   }
 
   runner::JsonOptions jopts;

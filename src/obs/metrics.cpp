@@ -33,21 +33,35 @@ void Histogram::merge(const Histogram& other) {
   sum += other.sum;
 }
 
+namespace {
+
+/// Where `name` sits in `family`, or end() when it is absent.  A name that
+/// sorts after every key, as when decode_cell() or merge() fill a registry
+/// in key order, needs no search, and end() is then the exact insertion
+/// hint; any other absent name gets a wrong hint, and the map searches.
+template <typename Map>
+typename Map::iterator locate(Map& family, std::string_view name) {
+  if (family.empty() || family.rbegin()->first < name) return family.end();
+  return family.find(name);
+}
+
+}  // namespace
+
 std::uint64_t& Registry::counter(std::string_view name) {
-  const auto it = counters_.find(name);
+  const auto it = locate(counters_, name);
   if (it != counters_.end()) return it->second;
-  return counters_.emplace(std::string{name}, 0u).first->second;
+  return counters_.emplace_hint(it, name, 0u)->second;
 }
 
 std::int64_t& Registry::gauge(std::string_view name) {
-  const auto it = gauges_.find(name);
+  const auto it = locate(gauges_, name);
   if (it != gauges_.end()) return it->second;
-  return gauges_.emplace(std::string{name}, 0).first->second;
+  return gauges_.emplace_hint(it, name, 0)->second;
 }
 
 Histogram& Registry::histogram(std::string_view name,
                                std::vector<double> bounds) {
-  const auto it = histograms_.find(name);
+  const auto it = locate(histograms_, name);
   if (it != histograms_.end()) {
     if (it->second.bounds != bounds) {
       throw std::invalid_argument("Registry::histogram: '" +
@@ -59,7 +73,7 @@ Histogram& Registry::histogram(std::string_view name,
   Histogram h;
   h.bounds = std::move(bounds);
   h.buckets.assign(h.bounds.size() + 1, 0);
-  return histograms_.emplace(std::string{name}, std::move(h)).first->second;
+  return histograms_.emplace_hint(it, name, std::move(h))->second;
 }
 
 void Registry::merge(const Registry& other) {

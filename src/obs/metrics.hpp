@@ -37,6 +37,12 @@ struct Histogram {
 
 class Registry {
  public:
+  // counter(), gauge() and histogram() append a name that sorts after
+  // every key of its family at the map's end without a search; any other
+  // name is looked up as usual.  merge() and the cell decoder fill each
+  // family in key order (the decoder rejects a cell out of that order), so
+  // they pay one node per name and no search.
+
   /// Named monotonically-increasing counter (merge = sum).  The reference
   /// stays valid for the registry's lifetime; cache it on hot paths.
   [[nodiscard]] std::uint64_t& counter(std::string_view name);

@@ -184,6 +184,11 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
   std::size_t done = 0;
   const std::size_t total = report.tasks.size();
 
+  // Records the store itself rejects (a failed checksum) never reach the
+  // decoder, so they are counted from the store's own tally.
+  const std::uint64_t store_corrupt_before =
+      cfg.cells != nullptr ? cfg.cells->stats().corrupt : 0;
+
   ThreadPool pool{cfg.jobs == 0 ? 0u : cfg.jobs};
   report.jobs_used = pool.jobs();
 
@@ -265,6 +270,9 @@ CampaignReport run_campaign(const CampaignConfig& cfg) {
       ++report.cache_misses;
     }
     if (task.cache_corrupt) ++report.cache_corrupt;
+  }
+  if (cfg.cells != nullptr) {
+    report.cache_corrupt += cfg.cells->stats().corrupt - store_corrupt_before;
   }
 
   const auto aggregate_start = Clock::now();

@@ -175,8 +175,10 @@ struct CampaignReport {
   bool cache_enabled{};
   std::uint64_t cache_hits{};
   std::uint64_t cache_misses{};
-  /// Cells whose fetched bytes failed to decode and were recomputed (a
-  /// subset of cache_misses).
+  /// Cells recomputed because their stored entry was corrupt (a subset of
+  /// cache_misses): entries the store rejected during this run, as the
+  /// growth of its stats().corrupt, plus fetched bytes that failed to
+  /// decode.
   std::uint64_t cache_corrupt{};
   /// Self-profile: per-task phase timings summed over the grid plus the
   /// campaign-level aggregate pass.  Wall clocks — runtime info only.

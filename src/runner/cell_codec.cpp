@@ -87,11 +87,18 @@ class Reader {
     v = b != 0;
     return true;
   }
-  bool str(std::string& s) {
+  /// A view into the bytes being read: valid as long as they are.
+  bool str(std::string_view& s) {
     std::uint64_t len = 0;
     if (!u64(len) || len > bytes_.size() - pos_) return fail();
-    s.assign(bytes_.substr(pos_, static_cast<std::size_t>(len)));
+    s = bytes_.substr(pos_, static_cast<std::size_t>(len));
     pos_ += static_cast<std::size_t>(len);
+    return true;
+  }
+  bool str(std::string& s) {
+    std::string_view view;
+    if (!str(view)) return false;
+    s.assign(view);
     return true;
   }
   bool count(std::uint64_t& n) { return u64(n) && (n <= kMaxCount || fail()); }
@@ -158,27 +165,35 @@ void put_registry(Writer& w, const obs::Registry& reg) {
   }
 }
 
+/// Each family must arrive in strictly increasing key order, as
+/// put_registry() writes it from the registry's maps: then every name is
+/// appended at the map's end without a search, and a duplicate or unsorted
+/// name is malformed input, so an accepted cell re-encodes to its own bytes.
 bool get_registry(Reader& r, obs::Registry& reg) {
   std::uint64_t n = 0;
+  std::string_view name;
+  // Reads the i-th name of a family into `name`; false unless it sorts
+  // strictly after the name before it.
+  const auto next_name = [&r, &name](std::uint64_t i) {
+    const std::string_view prev = name;
+    return r.str(name) && (i == 0 || prev < name);
+  };
   if (!r.count(n)) return false;
   for (std::uint64_t i = 0; i < n; ++i) {
-    std::string name;
     std::uint64_t value = 0;
-    if (!r.str(name) || !r.u64(value)) return false;
+    if (!next_name(i) || !r.u64(value)) return false;
     reg.counter(name) = value;
   }
   if (!r.count(n)) return false;
   for (std::uint64_t i = 0; i < n; ++i) {
-    std::string name;
     std::int64_t value = 0;
-    if (!r.str(name) || !r.i64(value)) return false;
+    if (!next_name(i) || !r.i64(value)) return false;
     reg.gauge(name) = value;
   }
   if (!r.count(n)) return false;
   for (std::uint64_t i = 0; i < n; ++i) {
-    std::string name;
     std::vector<double> bounds;
-    if (!r.str(name) || !r.doubles(bounds)) return false;
+    if (!next_name(i) || !r.doubles(bounds)) return false;
     std::uint64_t buckets = 0;
     if (!r.count(buckets) || buckets != bounds.size() + 1) return false;
     auto& h = reg.histogram(name, std::move(bounds));

@@ -15,8 +15,11 @@
 // patterns, so a decode → re-encode round trip is byte-identical and the
 // floating-point aggregation over fetched cells reproduces a cold run's
 // report bit for bit.  decode_cell() is defensive: any truncation, bad
-// magic or inconsistent length returns false (never throws, never reads
-// out of bounds) — the caller treats the entry as corrupt and recomputes.
+// magic, inconsistent length or metrics name out of key order returns false
+// (never throws, never reads out of bounds) — the caller treats the entry as
+// corrupt and recomputes.  The key-order rule lets the decoder append every
+// metric at its family's end without a search, and it makes every accepted
+// cell re-encode to its own bytes.
 #pragma once
 
 #include <string>

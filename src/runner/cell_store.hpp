@@ -46,13 +46,20 @@ namespace mcan::runner {
 /// Version tag of the simulation engine + cell serialization format.
 /// Part of every cache key: bump it whenever a change could alter any
 /// cell's deterministic result bytes (protocol model, codec layout,
-/// aggregation inputs), and every previously cached cell goes stale at
-/// once — no manual cache flush, no corrupt reuse.
-inline constexpr std::string_view kEngineVersion = "michican-cell-v3";
+/// aggregation inputs) or how a stored cell is checked, and every
+/// previously cached cell goes stale at once — no manual cache flush, no
+/// corrupt reuse.  v4: DiskStore checksums its records by 32-bit half-words,
+/// so a v3 record would fail the new check; under v4 keys it is never
+/// fetched, so it is never counted as corrupt.
+inline constexpr std::string_view kEngineVersion = "michican-cell-v4";
 
 /// Incremental FNV-1a 64-bit content hash.  Not cryptographic — the cache
 /// is a local trusted store; what matters is stability across runs and
-/// platforms (fixed integer widths, doubles hashed by bit pattern).
+/// platforms (fixed integer widths, doubles hashed by bit pattern).  It
+/// stays byte-wise: it computes the spec hash inside every cache key and
+/// perfbench's output digests, and a word-wise variant would move both.
+/// DiskStore's record checksum, which runs over every stored and fetched
+/// payload, is the word-wise one (serve/disk_store.hpp).
 class Fingerprint {
  public:
   void mix_bytes(const void* data, std::size_t len) noexcept;

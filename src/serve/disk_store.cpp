@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -22,13 +23,6 @@ constexpr std::size_t kHeaderSize = 24;
 /// header, not a record.
 constexpr std::uint64_t kMaxIdLen = 256;
 
-std::uint64_t record_hash(std::string_view id, std::string_view payload) {
-  runner::Fingerprint fp;
-  fp.mix_str(id);
-  fp.mix_bytes(payload.data(), payload.size());
-  return fp.digest();
-}
-
 void put_le(char* out, std::uint64_t v, std::size_t bytes) {
   for (std::size_t i = 0; i < bytes; ++i) {
     out[i] = static_cast<char>(v >> (8 * i));
@@ -42,6 +36,40 @@ std::uint64_t get_le(const char* in, std::size_t bytes) {
          << (8 * i);
   }
   return v;
+}
+
+constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ull;
+constexpr std::uint64_t kFnvPrime = 0x00000100000001B3ull;
+
+/// FNV-1a's xor-multiply step over the part's length, then over the part
+/// in little-endian 32-bit halves of 64-bit words, its tail byte by byte.
+/// Every step is a bijection of the running hash (the prime is odd), so
+/// parts that differ in any one half-word or tail byte always hash apart.
+/// Halves, not whole words: a word's top bit passes the multiply unchanged
+/// (2^63 * P == 2^63 mod 2^64), so flipping it in two adjacent words would
+/// cancel for every hash; an input below 2^32 has no such bit.
+std::uint64_t mix_part(std::uint64_t h, std::string_view part) {
+  h = (h ^ part.size()) * kFnvPrime;
+  const char* p = part.data();
+  std::size_t n = part.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t w = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&w, p, sizeof(w));
+    } else {
+      w = get_le(p, 8);
+    }
+    h = (h ^ (w & 0xFFFFFFFFu)) * kFnvPrime;
+    h = (h ^ (w >> 32)) * kFnvPrime;
+  }
+  for (; n > 0; ++p, --n) h = (h ^ get_le(p, 1)) * kFnvPrime;
+  return h;
+}
+
+/// Word-wise, unlike runner::Fingerprint: this runs over every stored and
+/// fetched payload, where a byte-wise chain of multiplies dominates a hit.
+std::uint64_t record_hash(std::string_view id, std::string_view payload) {
+  return mix_part(mix_part(kFnvOffset, id), payload);
 }
 
 std::string encode_record(std::string_view id, std::string_view payload,

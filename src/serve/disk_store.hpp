@@ -9,11 +9,22 @@
 //
 //   "MCPK" | u32 id length | u64 payload length | u64 hash | id | payload
 //
-// The hash is FNV-1a over the key id and the payload, and it is re-verified
-// on every fetch.  Any mismatch — bit rot, hand editing, a pack cut short
-// under a live store — drops the entry, counts it as `corrupt`, and reports
-// a miss: the caller recomputes and re-stores.  Corruption is never fatal
-// and never served.
+// The hash covers the key id and the payload, each as its length and then
+// its bytes, and it is re-verified on every fetch.  It is FNV-1a's
+// xor-multiply step taken over the little-endian 32-bit halves of 64-bit
+// words (a part's tail byte by byte): a quarter of byte-wise FNV-1a's
+// dependent multiplies on a ~2 KiB cell, with one load per word.  Every
+// step is a bijection of the running hash, so a record with any one
+// half-word changed, and so any single flipped bit or byte, fails its
+// check.  Halves rather than whole words close a blind spot: a word's bit
+// 63 passes the multiply unchanged, so flipping it in two adjacent words
+// would cancel whatever the data.  (kEngineVersion
+// michican-cell-v4 came with this checksum, so no record hashed the older
+// byte-wise way is ever fetched.)  Any mismatch — bit rot, hand editing, a
+// pack cut short under a live store — drops the entry, counts it as
+// `corrupt`, and reports a miss: the caller recomputes and re-stores, and
+// run_campaign() adds the growth of that count to its report's
+// `cache_corrupt`.  Corruption is never fatal and never served.
 //
 // A store is one append; a fetch is one positioned read at the offset the
 // index holds.  Opening the store rebuilds that index from the record

@@ -13,38 +13,11 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
   std::uint64_t x = seed;
   for (auto& s : s_) s = splitmix64(x);
-}
-
-std::uint64_t Rng::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::uniform(std::uint64_t lo, std::uint64_t hi) noexcept {
-  const std::uint64_t span = hi - lo + 1;
-  if (span == 0) return next();  // full 64-bit range
-  // Rejection sampling to remove modulo bias.
-  const std::uint64_t limit = std::numeric_limits<std::uint64_t>::max() -
-                              std::numeric_limits<std::uint64_t>::max() % span;
-  std::uint64_t v = next();
-  while (v >= limit) v = next();
-  return lo + v % span;
 }
 
 double Rng::uniform01() noexcept {

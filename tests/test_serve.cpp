@@ -1,8 +1,9 @@
 // The CellStore seam behind `campaign --cache-dir`: cache-key
-// fingerprints, the cell codec, cold-vs-warm and partially-warm byte
-// identity through run_campaign(), the cache.fetch/cache.store profile
-// phases, DiskStore pathologies on its pack (corruption, torn tails,
-// superseded records, a second live store, engine-version invalidation),
+// fingerprints, the cell codec (registry key order included), cold-vs-warm
+// and partially-warm byte identity through run_campaign(), the corrupt
+// count, the cache.fetch/cache.store profile phases, DiskStore pathologies
+// on its pack (corruption down to every single bit, torn tails, superseded
+// records, a second live store, engine-version invalidation),
 // report-write failures, and the test-only JSON reader the trace tests
 // parse with.
 #include <gtest/gtest.h>
@@ -124,6 +125,27 @@ TEST(CellCodec, RejectsTruncatedAndGarbageBytes) {
   EXPECT_FALSE(runner::decode_cell(bytes + "trailing", out));
 }
 
+TEST(CellCodec, RejectsUnsortedOrDuplicateRegistryNames) {
+  analysis::ExperimentResult res;
+  res.metrics.counter("a.x") = 1;
+  res.metrics.counter("a.y") = 2;
+  const auto bytes = runner::encode_cell(res);
+  const auto at = bytes.find("a.y");
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(bytes.find("a.y", at + 1), std::string::npos);
+
+  // Same lengths, so only the key order is wrong.
+  analysis::ExperimentResult out;
+  for (const std::string_view name : {"a.a", "a.x"}) {
+    auto patched = bytes;
+    patched.replace(at, name.size(), name);
+    EXPECT_FALSE(runner::decode_cell(patched, out)) << name;
+  }
+  ASSERT_TRUE(runner::decode_cell(bytes, out));
+  EXPECT_EQ(runner::encode_cell(out), bytes);
+  EXPECT_EQ(out.metrics.counter_value("a.y"), 2u);
+}
+
 // ---------------------------------------------------- campaign caching --
 
 TEST(CampaignCache, WarmRerunIsByteIdenticalAndAllHits) {
@@ -236,9 +258,40 @@ TEST(CampaignCache, DecodeCorruptEntryIsCountedAndRecomputed) {
   EXPECT_EQ(runner::to_json(cold), runner::to_json(warm));
 }
 
-// ----------------------------------------------------------- DiskStore --
-
 fs::path pack_of(const fs::path& dir) { return dir / "cells.pack"; }
+
+/// Flip bit `bit` of the byte at `offset` in `file`.
+void flip_bit(const fs::path& file, std::uint64_t offset, int bit) {
+  std::fstream f{file, std::ios::in | std::ios::out | std::ios::binary};
+  f.seekg(static_cast<std::streamoff>(offset));
+  const auto byte = static_cast<char>(f.get() ^ (1 << bit));
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.put(byte);
+}
+
+TEST(CampaignCache, StoreRejectedRecordCountsAsCorrupt) {
+  const auto dir = scratch_dir("rejected");
+  serve::DiskStore store{dir};
+  auto cfg = small_campaign(&store);
+  const auto cold = runner::run_campaign(cfg);
+  EXPECT_EQ(cold.cache_corrupt, 0u);
+
+  // The last payload byte of the last record: the store's checksum rejects
+  // it, so the decoder never sees it.
+  flip_bit(pack_of(dir), fs::file_size(pack_of(dir)) - 1, 0);
+  const auto warm = runner::run_campaign(cfg);
+  EXPECT_EQ(warm.cache_corrupt, 1u);
+  EXPECT_EQ(warm.cache_misses, 1u);
+  EXPECT_EQ(runner::to_json(cold), runner::to_json(warm));
+
+  // The count is this run's: the recomputed cell was re-stored.
+  const auto again = runner::run_campaign(cfg);
+  EXPECT_EQ(again.cache_corrupt, 0u);
+  EXPECT_EQ(again.cache_hits, again.tasks.size());
+  fs::remove_all(dir);
+}
+
+// ----------------------------------------------------------- DiskStore --
 
 /// Overwrite the byte `from_end` bytes before the end of `file`.
 void flip_byte_from_end(const fs::path& file, std::streamoff from_end) {
@@ -304,6 +357,49 @@ TEST(DiskStore, FlippedPayloadByteIsCorruptNotFatal) {
 
   store.store(key, "payload-that-will-rot");
   EXPECT_EQ(store.fetch(key).value_or(""), "payload-that-will-rot");
+  fs::remove_all(dir);
+}
+
+TEST(DiskStore, EveryFlippedPayloadBitIsCaught) {
+  const auto dir = scratch_dir("everybit");
+  runner::CellKey key;
+  key.spec_hash = 8;
+  // Not a multiple of 8 bytes: two whole words and a 5-byte tail.
+  const std::string payload = "twenty-one byte cell.";
+  ASSERT_EQ(payload.size(), 21u);
+  { serve::DiskStore{dir}.store(key, payload); }
+  const auto pack = pack_of(dir);
+  const auto start = fs::file_size(pack) - payload.size();
+  for (std::uint64_t byte = 0; byte < payload.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      flip_bit(pack, start + byte, bit);
+      serve::DiskStore fresh{dir};
+      EXPECT_FALSE(fresh.fetch(key).has_value())
+          << "byte " << byte << " bit " << bit;
+      EXPECT_EQ(fresh.stats().corrupt, 1u);
+      flip_bit(pack, start + byte, bit);
+    }
+  }
+  EXPECT_EQ(serve::DiskStore{dir}.fetch(key).value_or(""), payload);
+  fs::remove_all(dir);
+}
+
+TEST(DiskStore, FlippedTopBitsOfAdjacentWordsAreCaught) {
+  // Bit 63 of a 64-bit word survives a multiply by any odd prime as bit 63
+  // alone, so a checksum that took whole words would let these two flips
+  // cancel and serve the rotted bytes.
+  const auto dir = scratch_dir("topbits");
+  runner::CellKey key;
+  key.spec_hash = 9;
+  const std::string payload = "sixteen byte pay";
+  { serve::DiskStore{dir}.store(key, payload); }
+  const auto pack = pack_of(dir);
+  const auto start = fs::file_size(pack) - payload.size();
+  flip_bit(pack, start + 7, 7);
+  flip_bit(pack, start + 15, 7);
+  serve::DiskStore store{dir};
+  EXPECT_FALSE(store.fetch(key).has_value());
+  EXPECT_EQ(store.stats().corrupt, 1u);
   fs::remove_all(dir);
 }
 

@@ -2,7 +2,9 @@
 // event log filtering and the time conversions everything relies on.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <utility>
 
 #include "sim/event_log.hpp"
 #include "sim/rng.hpp"
@@ -49,6 +51,41 @@ TEST(Rng, DifferentSeedsDiverge) {
   int same = 0;
   for (int i = 0; i < 64; ++i) same += a.next() == b.next() ? 1 : 0;
   EXPECT_LT(same, 2);
+}
+
+/// Rng::uniform as it was before its power-of-two mask: two 64-bit `%`
+/// per draw.  The reference the inline version must match draw for draw.
+std::uint64_t division_uniform(Rng& rng, std::uint64_t lo, std::uint64_t hi) {
+  const std::uint64_t span = hi - lo + 1;
+  if (span == 0) return rng.next();
+  const std::uint64_t limit = std::numeric_limits<std::uint64_t>::max() -
+                              std::numeric_limits<std::uint64_t>::max() % span;
+  std::uint64_t v = rng.next();
+  while (v >= limit) v = rng.next();
+  return lo + v % span;
+}
+
+TEST(Rng, UniformMatchesTheDivisionReferenceDrawForDraw) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::pair<std::uint64_t, std::uint64_t> ranges[] = {
+      {7, 7},                         // span 1
+      {0, 1},                         // span 2
+      {0, 2047},                      // span 2,048: the Sec. V-B ID draws
+      {100, 100 + (1ull << 32) - 1},  // span 2^32
+      {0, (1ull << 63) - 1},          // span 2^63: rejects half the draws
+      {0, kMax},                      // the full 64-bit range
+      {1, 1000},                      // not a power of two
+  };
+  for (const auto& [lo, hi] : ranges) {
+    Rng rng{2024};
+    Rng reference{2024};
+    int mismatches = 0;
+    for (int i = 0; i < 1'000'000; ++i) {
+      mismatches += rng.uniform(lo, hi) != division_uniform(reference, lo, hi);
+    }
+    EXPECT_EQ(mismatches, 0) << "[" << lo << ", " << hi << "]";
+    EXPECT_EQ(rng.next(), reference.next()) << "[" << lo << ", " << hi << "]";
+  }
 }
 
 TEST(Rng, UniformStaysInRange) {
